@@ -193,6 +193,8 @@ def fit_lcd(
                         r += X[:, sl] @ b[sl]
                         b[sl] = 0.0
                     frozen[j] = True
+        if not np.isfinite(r).all():
+            break  # a non-finite residual can never count as converged
         if delta <= tol:
             converged = True
             break
@@ -308,6 +310,8 @@ def fit_sparse_group_lasso(
                 obj = objective(design, b, pen)
                 max_increase = max(max_increase, obj - prev_obj)
                 prev_obj = obj
+        if not np.isfinite(r).all():
+            break  # a non-finite residual can never count as converged
         if delta <= tol:
             converged = True
             break

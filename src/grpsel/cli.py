@@ -30,7 +30,7 @@ from .bilevel import (
 )
 from .cv import kfold_cv
 from .design import build_design, group_norms
-from .errors import ConfigError, GrpselError, ParseError
+from .errors import ConfigError, GrpselError, NonFiniteInput, ParseError
 from .gcd import fit_gcd, lambda_max
 from .paths import PathConfig, solution_path
 from .penalties import PenaltySpec
@@ -481,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError) as exc:
+    except (ParseError, ConfigError, NonFiniteInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GrpselError, OSError, ValueError) as exc:

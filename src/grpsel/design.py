@@ -10,14 +10,19 @@ not survive that transformation, so for those the blocks are only
 standardized column by column; the scaling factors are stored in the same
 per-group factor slots (as diagonal matrices), which keeps the mapping back
 to the caller's coordinates uniform.
+
+The transformed design is stored column-major, so every group block is one
+contiguous piece of memory (``X.T[a:e]`` is a contiguous row block).
+Per-group reductions (norms, sums) run over all groups at once with
+``np.add.reduceat`` at the group starts.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, EmptyGroup, SingularGroup
+from .errors import DimensionMismatch, EmptyGroup, NonFiniteInput, SingularGroup
 
 # A Cholesky pivot below PIVOT_RTOL times the largest diagonal entry of the
 # group Gram matrix marks the group as numerically singular.
@@ -32,7 +37,7 @@ class GroupedDesign:
     ----------
     y : ndarray, shape (n,)
         Centered response.
-    X : ndarray, shape (n, p)
+    X : ndarray, shape (n, p), column-major
         Column-centered predictors in internal order (groups contiguous),
         with each block either orthonormalized (``(1/n) X_j'X_j = I``) or
         standardized to unit root-mean-square columns.
@@ -96,6 +101,40 @@ class GroupedDesign:
         start, size = self.groups[j]
         return slice(start, start + size)
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """First internal column of each group."""
+        return np.array([start for start, _ in self.groups])
+
+    def group_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-group sums of an internal-order vector of length p."""
+        return np.add.reduceat(v, self.starts)
+
+    def group_l2(self, v: np.ndarray) -> np.ndarray:
+        """Per-group 2-norms of an internal-order vector of length p."""
+        return np.sqrt(self.group_sums(v * v))
+
+    def _blocks(self):
+        """The block-diagonal factors U and U^{-1} as flat row-major entries.
+
+        Entry e of the concatenated blocks lies in internal column
+        ``cols[e]`` and the entries of internal row k start at ``rows[k]``,
+        so a block-diagonal matrix-vector product is one gather and one
+        ``np.add.reduceat``.  Computed once per factor tuple.
+        """
+        key, blocks = self.__dict__.get("_block_cache", (None, None))
+        if key is not self.U:
+            dims = self.dims
+            per_row = np.repeat(dims, dims)
+            rows = np.concatenate(([0], np.cumsum(per_row)[:-1]))
+            offset = np.arange(per_row.sum()) - np.repeat(rows, per_row)
+            cols = np.repeat(self.starts, dims * dims) + offset
+            fwd = np.concatenate([U.ravel() for U in self.U])
+            inv = np.concatenate([np.linalg.inv(U).ravel() for U in self.U])
+            blocks = (cols, rows, fwd, inv)
+            self.__dict__["_block_cache"] = (self.U, blocks)
+        return blocks
+
     def transform(self, beta: np.ndarray) -> np.ndarray:
         """Map caller-coordinate coefficients to internal solver coordinates."""
         beta = np.asarray(beta, dtype=float).ravel()
@@ -103,11 +142,8 @@ class GroupedDesign:
             raise DimensionMismatch(
                 f"expected coefficient vector of length {self.p}, got {beta.shape}"
             )
-        internal = beta[self.order]
-        coef = np.empty_like(internal)
-        for j, (start, size) in enumerate(self.groups):
-            coef[start:start + size] = self.U[j] @ internal[start:start + size]
-        return coef
+        cols, rows, fwd, _ = self._blocks()
+        return np.add.reduceat(fwd * beta[self.order][cols], rows)
 
     def back_transform(self, coef: np.ndarray) -> np.ndarray:
         """Map internal solver coefficients back to the caller's coordinates."""
@@ -116,17 +152,12 @@ class GroupedDesign:
             raise DimensionMismatch(
                 f"expected coefficient vector of length {self.p}, got {coef.shape}"
             )
-        internal = np.empty_like(coef)
-        for j, (start, size) in enumerate(self.groups):
-            block = coef[start:start + size]
-            if np.any(block):
-                internal[start:start + size] = solve_triangular(
-                    self.U[j], block, lower=False
-                )
-            else:
-                internal[start:start + size] = 0.0
-        beta = np.empty_like(internal)
-        beta[self.order] = internal
+        if not np.isfinite(coef).all():
+            raise NonFiniteInput("coefficients contain NaN or infinite entries")
+        cols, rows, _, inv = self._blocks()
+        beta = np.empty_like(coef)
+        # adding 0.0 turns the -0.0 a zero block can produce into 0.0
+        beta[self.order] = np.add.reduceat(inv * coef[cols], rows) + 0.0
         return beta
 
     def with_response(self, y_new: np.ndarray) -> "GroupedDesign":
@@ -138,7 +169,13 @@ class GroupedDesign:
         y_new = np.asarray(y_new, dtype=float).ravel()
         if y_new.shape != (self.n,):
             raise DimensionMismatch("response length does not match the design")
-        return replace(self, y=y_new)
+        if not np.isfinite(y_new).all():
+            raise NonFiniteInput("response contains NaN or infinite entries")
+        new = replace(self, y=y_new)
+        if "_block_cache" in self.__dict__:
+            # same factor tuple, so the cached block form stays valid
+            new.__dict__["_block_cache"] = self.__dict__["_block_cache"]
+        return new
 
 
 def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
@@ -171,6 +208,8 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
     SingularGroup
         If a group Gram matrix is not numerically positive definite
         (more columns than rows, or collinear columns within the group).
+    NonFiniteInput
+        If X or y holds a NaN or infinite entry.
     EmptyGroup, DimensionMismatch
     """
     X = np.asarray(X, dtype=float)
@@ -187,6 +226,10 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
     labels = np.asarray(group_labels).ravel()
     if labels.shape != (p,):
         raise DimensionMismatch("group_labels must have one entry per column")
+    if not np.isfinite(X).all():
+        raise NonFiniteInput("X contains NaN or infinite entries")
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("y contains NaN or infinite entries")
 
     x_mean = X.mean(axis=0)
     Xc = X - x_mean
@@ -208,7 +251,7 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
     groups = tuple((int(s), int(d)) for s, d in zip(starts, sizes))
 
     Xg = Xc[:, order]
-    Xt = np.empty_like(Xg)
+    Xt = np.empty_like(Xg, order="F")
     factors = []
     for j, (start, size) in enumerate(groups):
         block = Xg[:, start:start + size]
@@ -229,9 +272,7 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
                 raise SingularGroup(
                     f"group {uniq[j]}: Gram matrix is numerically singular"
                 )
-            Xt[:, start:start + size] = solve_triangular(
-                U, block.T, lower=False, trans="T"
-            ).T
+            Xt[:, start:start + size] = np.linalg.solve(U.T, block.T).T
         else:
             scale = col_scale[order[start:start + size]]
             U = np.diag(scale)
@@ -301,10 +342,7 @@ def group_norms(design: GroupedDesign, beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=float).ravel()
     if beta.shape != (design.p,):
         raise DimensionMismatch("coefficient length does not match the design")
-    internal = beta[design.order]
-    return np.array(
-        [np.linalg.norm(internal[design.group_slice(j)]) for j in range(design.J)]
-    )
+    return design.group_l2(beta[design.order])
 
 
 def predict(design: GroupedDesign, beta: np.ndarray, X_new=None) -> np.ndarray:

@@ -51,3 +51,7 @@ class ParseError(GrpselError):
 
 class ConfigError(GrpselError):
     """Invalid experiment configuration."""
+
+
+class NonFiniteInput(GrpselError):
+    """An input array holds NaN or infinite entries."""

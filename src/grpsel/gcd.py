@@ -8,6 +8,18 @@ yields the group LASSO / group MCP / group SCAD fits; each step is
 guaranteed not to increase the objective.  Pathwise fits proceed down a
 log-spaced grid from ``lambda_max`` (where the solution is identically
 zero), warm-starting each fit from its neighbor.
+
+Skipping zero groups.  Each cycle starts with one product
+``g = X'r/n + b`` over all groups.  Walking the groups in order, the sweep
+keeps ``moved``, the sum of ``||diff||`` over the updates made so far in the
+cycle, and leaves a zero group j untouched when
+``||g_j|| + moved <= c_j * lam``.  Proof that this is the exact update:
+with ``(1/n) X_j'X_j = I`` every block has spectral norm ``sqrt(n)``, so
+updating group k by ``diff`` moves ``z_m = X_m'r/n + b_m`` of every other
+group by ``||X_m'X_k diff||/n <= ||diff||``; hence ``||z_j|| <= ||g_j|| +
+moved <= c_j * lam``, and every 2-norm threshold operator maps such a
+``z_j`` to zero.  The iterates, the cycle count and the convergence test
+are those of the sweep that updates every group.
 """
 
 import math
@@ -73,12 +85,7 @@ class SolutionPath:
 
 def lambda_max(design) -> float:
     """Smallest penalty level at which the solution is identically zero."""
-    norms = np.array(
-        [
-            np.linalg.norm(design.X[:, design.group_slice(j)].T @ design.y)
-            for j in range(design.J)
-        ]
-    )
+    norms = design.group_l2(design.X.T @ design.y)
     return float(np.max(norms / (design.n * design.cj)))
 
 
@@ -113,7 +120,8 @@ def fit_gcd(
     ``init`` is a starting value in the design's internal coordinates
     (zeros by default).  Convergence is declared when no coefficient moves
     by more than ``tol`` over a full cycle; if ``max_iter`` cycles pass
-    without that, the best iterate is returned with ``converged=False``.
+    without that, or the residual turns non-finite, the last iterate is
+    returned with ``converged=False``.
     With ``check_descent`` the objective is evaluated after every group
     update and the largest observed increase is recorded (it should never
     exceed roundoff).
@@ -139,7 +147,7 @@ def fit_gcd(
         raise NotOrthonormalized(
             "fit_gcd requires a design built with orthonormalize=True"
         )
-    n, p, J = design.n, design.p, design.J
+    n, p = design.n, design.p
     X, y = design.X, design.y
     if init is None:
         b = np.zeros(p)
@@ -151,6 +159,8 @@ def fit_gcd(
         r = y - X @ b
 
     lam, gamma = pen.lam, pen.gamma
+    bounds = [(start, start + size) for start, size in design.groups]
+    thresholds = (design.cj * lam).tolist()
     max_increase = -math.inf if check_descent else None
     prev_obj = objective(design, b, pen) if check_descent else None
 
@@ -158,22 +168,32 @@ def fit_gcd(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        delta = 0.0
-        for j in range(J):
-            sl = design.group_slice(j)
-            Xj = X[:, sl]
-            z = Xj.T @ r / n + b[sl]
-            new = solve_single_group(z, design.cj[j] * lam, gamma, pen.family)
-            diff = new - b[sl]
-            step = np.max(np.abs(diff)) if diff.size else 0.0
+        g = X.T @ r / n + b
+        g_norms = design.group_l2(g).tolist()
+        nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
+        delta = moved = 0.0
+        for j, (a, e) in enumerate(bounds):
+            if not nonzero[j] and g_norms[j] + moved <= thresholds[j]:
+                # the exact update leaves this zero group at zero (see above)
+                if check_descent:
+                    max_increase = max(max_increase, 0.0)
+                continue
+            # until something moves, r is the residual g was computed from
+            z = g[a:e] if moved == 0.0 else X[:, a:e].T @ r / n + b[a:e]
+            new = solve_single_group(z, thresholds[j], gamma, pen.family)
+            diff = new - b[a:e]
+            step = np.max(np.abs(diff))
             if step > 0:
-                r -= Xj @ diff
-                b[sl] = new
+                r -= X[:, a:e] @ diff
+                b[a:e] = new
+                moved += math.sqrt(diff @ diff)
             delta = max(delta, step)
             if check_descent:
                 obj = objective(design, b, pen)
                 max_increase = max(max_increase, obj - prev_obj)
                 prev_obj = obj
+        if not np.isfinite(r).all():
+            break  # a non-finite residual can never count as converged
         if delta <= tol:
             converged = True
             break
@@ -208,21 +228,17 @@ def kkt_check(design, pen: PenaltySpec, coef: np.ndarray) -> float:
         raise UnsupportedFamily(f"kkt_check handles {GCD_FAMILIES} only")
     coef = np.asarray(coef, dtype=float).ravel()
     r = design.y - design.X @ coef
-    fam = _KKT_FAMILY[pen.family]
-    worst = 0.0
-    for j in range(design.J):
-        sl = design.group_slice(j)
-        g = design.X[:, sl].T @ r / design.n
-        b = coef[sl]
-        nb = np.linalg.norm(b)
-        lam_j = design.cj[j] * pen.lam
-        if nb == 0.0:
-            v = max(np.linalg.norm(g) - lam_j, 0.0)
-        else:
-            slope = rho_prime(nb, lam_j, pen.gamma, fam)
-            v = np.linalg.norm(g - slope * b / nb)
-        worst = max(worst, float(v))
-    return worst
+    g = design.X.T @ r / design.n
+    nb = design.group_l2(coef)
+    lam_j = design.cj * pen.lam
+    slope = rho_prime(nb, lam_j, pen.gamma, _KKT_FAMILY[pen.family])
+    nonzero = nb > 0
+    dims = design.dims
+    # a zero group keeps g_j itself (its coefficients are zero)
+    v = design.group_l2(
+        g - np.repeat(slope, dims) * coef / np.repeat(np.where(nonzero, nb, 1.0), dims)
+    )
+    return float(np.max(np.where(nonzero, v, np.maximum(v - lam_j, 0.0))))
 
 
 def fit_path(

@@ -186,20 +186,24 @@ def rho(t, lam, gamma=None, family="l1"):
 
 
 def rho_prime(t, lam, gamma=None, family="l1"):
-    """Derivative of ``rho`` with respect to t (where it exists)."""
+    """Derivative of ``rho`` with respect to t (where it exists).
+
+    ``lam`` may be an array matching ``t`` (one level per entry); the slope
+    at a zero level is zero.
+    """
     _check_rho_args(t, gamma, family)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
         out = np.full_like(t, lam)
-    elif family == "mcp":
-        out = lam * np.maximum(1.0 - t / (gamma * lam), 0.0) if lam > 0 else np.zeros_like(t)
-    elif family == "scad":
-        if lam > 0:
-            out = lam * np.minimum(1.0, np.maximum(gamma - t / lam, 0.0) / (gamma - 1))
-        else:
-            out = np.zeros_like(t)
+    elif family in ("mcp", "scad"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if family == "mcp":
+                out = lam * np.maximum(1.0 - t / (gamma * lam), 0.0)
+            else:
+                out = lam * np.minimum(1.0, np.maximum(gamma - t / lam, 0.0) / (gamma - 1))
+        out = np.where(np.asarray(lam) > 0, out, 0.0)
     elif family == "bridge":
         if np.any(t == 0):
             raise DomainError("bridge derivative is unbounded at 0")
@@ -273,21 +277,15 @@ def _mcp_prime(t, lam, gamma):
     return lam * np.maximum(1.0 - t / (gamma * lam), 0.0)
 
 
-def composite_mcp_value(b_group: np.ndarray, lam: float, gamma_inner: float) -> float:
-    """MCP-of-MCP group penalty: outer MCP of the summed inner MCP values.
-
-    The outer concavity is d * gamma_inner * lam / 2, which makes the outer
-    saturation point coincide with the maximum of the summed inner
-    penalties: the group penalty tops out exactly when every coordinate
-    does.
-    """
-    if lam == 0:
-        return 0.0
-    b_group = np.asarray(b_group, dtype=float)
-    d = b_group.size
-    inner = float(_mcp(np.abs(b_group), lam, gamma_inner).sum())
-    gamma_outer = d * gamma_inner * lam / 2
-    return float(_mcp(inner, lam, gamma_outer))
+# Scalar penalty applied to each group's 2-norm or 1-norm, by family.
+_GROUP_RHO = {
+    "glasso": ("l1", "l2"),
+    "gmcp": ("mcp", "l2"),
+    "gscad": ("scad", "l2"),
+    "gbridge": ("bridge", "l1"),
+    "gmcp1": ("mcp", "l1"),
+    "gscad1": ("scad", "l1"),
+}
 
 
 def objective(design, coef: np.ndarray, pen: PenaltySpec) -> float:
@@ -299,27 +297,23 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec) -> float:
     """
     coef = np.asarray(coef, dtype=float).ravel()
     r = design.y - design.X @ coef
-    value = 0.5 * float(r @ r) / design.n
     lam = pen.lam
     fam = pen.family
-    for j, (start, size) in enumerate(design.groups):
-        b = coef[start:start + size]
-        if fam == "glasso":
-            value += lam * design.cj[j] * np.linalg.norm(b)
-        elif fam == "gmcp":
-            value += rho(np.linalg.norm(b), design.cj[j] * lam, pen.gamma, "mcp")
-        elif fam == "gscad":
-            value += rho(np.linalg.norm(b), design.cj[j] * lam, pen.gamma, "scad")
-        elif fam == "gbridge":
-            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "bridge")
-        elif fam == "gmcp1":
-            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "mcp")
-        elif fam == "gscad1":
-            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "scad")
-        elif fam == "cmcp":
-            value += composite_mcp_value(b, lam, pen.gamma_inner)
-        elif fam == "sgl":
-            value += lam * np.abs(b).sum() + pen.lam2 * np.linalg.norm(b)
+    if fam in _GROUP_RHO:
+        kind, norm = _GROUP_RHO[fam]
+        size = design.group_l2(coef) if norm == "l2" else design.group_sums(np.abs(coef))
+        penalty = rho(size, design.cj * lam, pen.gamma, kind)
+    elif fam == "cmcp":
+        # outer MCP of the group's summed inner MCPs; the outer concavity
+        # d_j * gamma_inner * lam / 2 makes the group penalty top out exactly
+        # when every coordinate's inner penalty does
+        if lam == 0:
+            penalty = 0.0
         else:
-            raise UnsupportedFamily(f"unknown penalty family {fam!r}")
-    return value
+            inner = design.group_sums(_mcp(np.abs(coef), lam, pen.gamma_inner))
+            penalty = _mcp(inner, lam, design.dims * pen.gamma_inner * lam / 2)
+    elif fam == "sgl":
+        penalty = lam * design.group_sums(np.abs(coef)) + pen.lam2 * design.group_l2(coef)
+    else:
+        raise UnsupportedFamily(f"unknown penalty family {fam!r}")
+    return 0.5 * float(r @ r) / design.n + float(np.sum(penalty))

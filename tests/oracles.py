@@ -176,3 +176,143 @@ def subgradient_descent_reference(X, y, lam1, lam2, groups, iters=200_000, seed=
         if val < best_val:
             best, best_val = b.copy(), val
     return best
+
+
+# Per-group references: the group coordinate descent loop that updates every
+# group in every cycle, and the per-fit checks computed one group at a time.
+# The package versions, which skip zero groups and reduce over all groups at
+# once, must reproduce these up to floating-point rounding.
+
+
+def _mcp_value(t, lam, gamma):
+    # MCP without a range check on gamma (the composite outer concavity
+    # can drop below 1)
+    return lam * t - t * t / (2 * gamma) if t <= gamma * lam else gamma * lam * lam / 2
+
+
+def composite_mcp_value(b_group, lam, gamma_inner):
+    """MCP-of-MCP group penalty: outer MCP of the summed inner MCP values.
+
+    The outer concavity is d * gamma_inner * lam / 2, which makes the outer
+    saturation point coincide with the maximum of the summed inner
+    penalties: the group penalty tops out exactly when every coordinate
+    does.
+    """
+    if lam == 0:
+        return 0.0
+    b_group = np.asarray(b_group, dtype=float)
+    inner = sum(_mcp_value(abs(float(b)), lam, gamma_inner) for b in b_group)
+    return _mcp_value(inner, lam, b_group.size * gamma_inner * lam / 2)
+
+
+def objective_reference(design, coef, pen):
+    """Penalized least squares objective, one group at a time."""
+    from grpsel.penalties import rho
+
+    coef = np.asarray(coef, dtype=float).ravel()
+    r = design.y - design.X @ coef
+    value = 0.5 * float(r @ r) / design.n
+    lam = pen.lam
+    fam = pen.family
+    for j, (start, size) in enumerate(design.groups):
+        b = coef[start:start + size]
+        if fam == "glasso":
+            value += lam * design.cj[j] * np.linalg.norm(b)
+        elif fam == "gmcp":
+            value += rho(np.linalg.norm(b), design.cj[j] * lam, pen.gamma, "mcp")
+        elif fam == "gscad":
+            value += rho(np.linalg.norm(b), design.cj[j] * lam, pen.gamma, "scad")
+        elif fam == "gbridge":
+            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "bridge")
+        elif fam == "gmcp1":
+            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "mcp")
+        elif fam == "gscad1":
+            value += rho(np.abs(b).sum(), design.cj[j] * lam, pen.gamma, "scad")
+        elif fam == "cmcp":
+            value += composite_mcp_value(b, lam, pen.gamma_inner)
+        elif fam == "sgl":
+            value += lam * np.abs(b).sum() + pen.lam2 * np.linalg.norm(b)
+        else:
+            raise ValueError(fam)
+    return value
+
+
+_KKT_FAMILY = {"glasso": "l1", "gmcp": "mcp", "gscad": "scad"}
+
+
+def kkt_reference(design, pen, coef):
+    """Largest group stationarity violation, one group at a time."""
+    from grpsel.penalties import rho_prime
+
+    coef = np.asarray(coef, dtype=float).ravel()
+    r = design.y - design.X @ coef
+    fam = _KKT_FAMILY[pen.family]
+    worst = 0.0
+    for j in range(design.J):
+        sl = design.group_slice(j)
+        g = design.X[:, sl].T @ r / design.n
+        b = coef[sl]
+        nb = np.linalg.norm(b)
+        lam_j = design.cj[j] * pen.lam
+        if nb == 0.0:
+            v = max(np.linalg.norm(g) - lam_j, 0.0)
+        else:
+            slope = rho_prime(nb, lam_j, pen.gamma, fam)
+            v = np.linalg.norm(g - slope * b / nb)
+        worst = max(worst, float(v))
+    return worst
+
+
+def fit_gcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
+                      check_descent=False):
+    """Group coordinate descent that updates every group in every cycle."""
+    from grpsel.gcd import FitResult
+    from grpsel.penalties import solve_single_group
+
+    n, p, J = design.n, design.p, design.J
+    X, y = design.X, design.y
+    if init is None:
+        b = np.zeros(p)
+        r = y.copy()
+    else:
+        b = np.asarray(init, dtype=float).ravel().copy()
+        r = y - X @ b
+    lam, gamma = pen.lam, pen.gamma
+    max_increase = -math.inf if check_descent else None
+    prev_obj = objective_reference(design, b, pen) if check_descent else None
+    converged = False
+    iterations = 0
+    for it in range(1, max_iter + 1):
+        iterations = it
+        delta = 0.0
+        for j in range(J):
+            sl = design.group_slice(j)
+            Xj = X[:, sl]
+            z = Xj.T @ r / n + b[sl]
+            new = solve_single_group(z, design.cj[j] * lam, gamma, pen.family)
+            diff = new - b[sl]
+            step = np.max(np.abs(diff)) if diff.size else 0.0
+            if step > 0:
+                r -= Xj @ diff
+                b[sl] = new
+            delta = max(delta, step)
+            if check_descent:
+                obj = objective_reference(design, b, pen)
+                max_increase = max(max_increase, obj - prev_obj)
+                prev_obj = obj
+        if delta <= tol:
+            converged = True
+            break
+        if it % 100 == 0:
+            r = y - X @ b
+    return FitResult(
+        beta=design.back_transform(b),
+        coef=b,
+        objective=objective_reference(design, b, pen),
+        iterations=iterations,
+        converged=converged,
+        kkt_max_violation=kkt_reference(design, pen, b),
+        lam=lam,
+        gamma=gamma,
+        max_descent_violation=max_increase,
+    )

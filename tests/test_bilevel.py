@@ -18,7 +18,6 @@ from grpsel.errors import UnsupportedFamily
 from grpsel.gcd import fit_gcd
 from grpsel.penalties import (
     PenaltySpec,
-    composite_mcp_value,
     objective,
     soft_threshold,
     soft_threshold_vec,
@@ -27,6 +26,7 @@ from grpsel.scenarios import ScenarioSpec, make_scenario
 
 from conftest import gaussian_design, gaussian_problem
 from oracles import (
+    composite_mcp_value,
     lasso_cd_reference,
     sparse_group_prox_oracle,
     subgradient_descent_reference,

@@ -157,6 +157,38 @@ def test_bad_config_and_bad_csv_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _replace_first_value(path, new_path, value):
+    # swap the first data cell of a headered CSV for `value`
+    lines = open(path).read().splitlines()
+    cells = lines[1].split(",")
+    cells[0] = value
+    lines[1] = ",".join(cells)
+    with open(new_path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def test_nan_response_cell_exits_2(tmp_path, fig3_files, capsys):
+    y_nan = str(tmp_path / "y_nan.csv")
+    _replace_first_value(fig3_files + "_y.csv", y_nan, "nan")
+    out = str(tmp_path / "fit")
+    code = main(["fit", "--x", fig3_files + "_X.csv", "--y", y_nan,
+                 "--groups", fig3_files + "_groups.csv", "--penalty", "gmcp",
+                 "--lambda", "0.1", "--out", out])
+    assert code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not (tmp_path / "fit_fit.json").exists()
+
+
+def test_inf_predictor_cell_exits_2(tmp_path, fig3_files, capsys):
+    x_inf = str(tmp_path / "X_inf.csv")
+    _replace_first_value(fig3_files + "_X.csv", x_inf, "inf")
+    code = main(["fit", "--x", x_inf, "--y", fig3_files + "_y.csv",
+                 "--groups", fig3_files + "_groups.csv", "--penalty", "gmcp",
+                 "--lambda", "0.1", "--out", str(tmp_path / "fit")])
+    assert code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_groups_file_must_cover_all_columns(tmp_path, fig3_files, capsys):
     groups = tmp_path / "incomplete.csv"
     groups.write_text("column_name,group_id\ng0_0,0\n")

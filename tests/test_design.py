@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grpsel.design import build_design, group_norms, predict, rebuild_design
-from grpsel.errors import DimensionMismatch, EmptyGroup, SingularGroup
+from grpsel.errors import DimensionMismatch, EmptyGroup, NonFiniteInput, SingularGroup
 from grpsel.penalties import PenaltySpec, objective, rho
 
 from conftest import gaussian_problem
@@ -109,6 +109,31 @@ def test_objective_round_trip_matches_weighted_norm_form():
             direct += rho(weighted, design.cj[j] * 0.3, pen.gamma, scalar)
         transformed = objective(design, design.transform(beta), pen)
         assert transformed == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("pen", [
+    PenaltySpec("glasso", lam=0.3),
+    PenaltySpec("gmcp", lam=0.3, gamma=1.5),
+    PenaltySpec("gscad", lam=0.3, gamma=3.7),
+    PenaltySpec("gbridge", lam=0.3, gamma=0.5),
+    PenaltySpec("gmcp1", lam=0.3, gamma=2.7),
+    PenaltySpec("gscad1", lam=0.3, gamma=3.7),
+    PenaltySpec("cmcp", lam=0.3, gamma_inner=2.2),
+    PenaltySpec("sgl", lam=0.3, lam2=0.2),
+], ids=lambda pen: pen.family)
+def test_objective_matches_per_group_reference(pen):
+    from oracles import objective_reference
+
+    rng = np.random.default_rng(9)
+    X, y, labels, _ = gaussian_problem(40, [2, 3, 1, 4], seed=9)
+    orthonormalize = pen.family in ("glasso", "gmcp", "gscad")
+    design = build_design(X, y, labels, orthonormalize=orthonormalize)
+    coef = rng.standard_normal(10) * 0.5
+    coef[2:5] = 0.0  # one zero group
+    coef[6] = 0.0  # one zero coordinate in a nonzero group
+    assert objective(design, coef, pen) == pytest.approx(
+        objective_reference(design, coef, pen), rel=1e-12
+    )
 
 
 def test_objective_trivial_cases():
@@ -230,3 +255,6 @@ def test_with_response_swaps_y_exactly():
     assert np.all(design.with_response(y_new).y == y_new)
     with pytest.raises(DimensionMismatch):
         design.with_response(np.zeros(3))
+    y_new[4] = np.nan
+    with pytest.raises(NonFiniteInput):
+        design.with_response(y_new)

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grpsel.bilevel import fit_lcd, fit_sparse_group_lasso
 from grpsel.design import GroupedDesign, build_design
-from grpsel.errors import NotOrthonormalized, UnsupportedFamily
+from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_path, kkt_check, lambda_grid, lambda_max
 from grpsel.penalties import PenaltySpec, objective, solve_single_group
 
@@ -243,3 +247,120 @@ def test_lambda_grid_endpoints_exact():
         lambda_grid(1.0, 1, 0.1)
     with pytest.raises(ValueError):
         lambda_grid(1.0, 5, 1.5)
+
+
+# Seeded designs for the comparison against the every-group reference sweep:
+# nine nonzero coefficients on correlated columns, once with p < n, once
+# with p > n.
+_REFERENCE_DESIGNS = {
+    "p<n": dict(n=80, sizes=[3] * 12, seed=31),
+    "p>n": dict(n=40, sizes=[4] * 15, seed=32),
+}
+
+_REFERENCE_PENALTIES = [
+    ("glasso", math.inf),
+    ("gmcp", 1.2), ("gmcp", 2.7), ("gmcp", math.inf),
+    # SCAD needs gamma > 2, so 2.2 stands in for 1.2
+    ("gscad", 2.2), ("gscad", 2.7), ("gscad", math.inf),
+]
+
+
+def _reference_design(case):
+    spec = _REFERENCE_DESIGNS[case]
+    p = sum(spec["sizes"])
+    beta = np.zeros(p)
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(spec["n"], spec["sizes"], beta=beta, sigma=1.0,
+                                correlation=0.3, seed=spec["seed"])
+    return design
+
+
+def _same_float(got, ref, scale):
+    # relative 1e-12 against the larger of the value and the scale of the
+    # quantities it is computed from: the KKT residual and the descent
+    # violation are differences of numbers of that scale, so their rounding
+    # error is set by it, not by their own (tiny) size
+    return abs(got - ref) <= 1e-12 * max(abs(ref), scale)
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
+@pytest.mark.parametrize("family,gamma", _REFERENCE_PENALTIES)
+def test_fit_gcd_matches_every_group_reference(case, family, gamma):
+    from oracles import fit_gcd_reference
+
+    design = _reference_design(case)
+    lam_max = lambda_max(design)
+    previous = None
+    for ratio in (0.9, 0.5, 0.2):
+        pen = PenaltySpec(family, lam=ratio * lam_max, gamma=gamma)
+        starts = [None] if previous is None else [None, previous]
+        for init in starts:
+            ref = fit_gcd_reference(design, pen, init=init, check_descent=True)
+            got = fit_gcd(design, pen, init=init, check_descent=True)
+            where = f"{case} {family} gamma={gamma} ratio={ratio} warm={init is not None}"
+            assert got.iterations == ref.iterations, where
+            assert got.converged == ref.converged, where
+            np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10,
+                                       err_msg=where)
+            assert _same_float(got.objective, ref.objective, 0.0), where
+            assert _same_float(got.kkt_max_violation, ref.kkt_max_violation,
+                               pen.lam * np.max(design.cj)), where
+            assert _same_float(got.max_descent_violation, ref.max_descent_violation,
+                               ref.objective), where
+        previous = ref.coef
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=6),
+    extra_rows=st.integers(2, 20),
+    correlation=st.floats(0.0, 0.95),
+)
+def test_group_update_moves_other_groups_by_at_most_its_length(
+    seed, sizes, extra_rows, correlation
+):
+    # the premise of skipping zero groups: on an orthonormalized design,
+    # changing group k by diff changes z_m = X_m'r/n + b_m of every other
+    # group m by at most ||diff||
+    n = 2 * max(sizes) + extra_rows
+    rng = np.random.default_rng(seed)
+    X = (math.sqrt(1 - correlation) * rng.standard_normal((n, sum(sizes)))
+         + math.sqrt(correlation) * rng.standard_normal((n, 1)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    design = build_design(X, rng.standard_normal(n), labels)
+    k = int(rng.integers(design.J))
+    diff = rng.standard_normal(sizes[k]) * 10.0 ** rng.uniform(-6, 3)
+    shift = design.X.T @ (design.X[:, design.group_slice(k)] @ diff) / n
+    moved = design.group_l2(shift)
+    others = np.arange(design.J) != k
+    assert np.all(moved[others] <= np.linalg.norm(diff) * (1 + 1e-12))
+
+
+def _reports_converged(fit):
+    try:
+        return fit().converged
+    except NonFiniteInput:
+        return False  # back_transform refuses non-finite coefficients
+
+
+_SOLVERS = {
+    "gcd": (True, lambda d, init: fit_gcd(d, PenaltySpec("gmcp", lam=0.1), init=init)),
+    "lcd": (False, lambda d, init: fit_lcd(d, PenaltySpec("cmcp", lam=0.1), init=init)),
+    "sgl": (False, lambda d, init: fit_sparse_group_lasso(d, 0.05, 0.05, init=init)),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_non_finite_step_never_reports_converged(solver):
+    orthonormalize, fit = _SOLVERS[solver]
+    design, _ = gaussian_design(50, [2, 3, 2], beta=[1.0, 1.0, 0, 0, 0, 0, 0],
+                                seed=1, orthonormalize=orthonormalize)
+    nan_start = np.full(design.p, np.nan)
+    assert not _reports_converged(lambda: fit(design, nan_start))
+    # a response that skipped validation: gcd and sgl never apply a NaN step,
+    # so b stays finite and only the loop guard keeps them from converging
+    y = design.y.copy()
+    y[3] = np.nan
+    nan_response = replace(design, y=y)
+    assert not _reports_converged(lambda: fit(nan_response, np.zeros(design.p)))
