@@ -7,7 +7,6 @@ exact-oracle bounds of the 2-norm group MCP.
 """
 
 from .bilevel import (
-    CompositeSpec,
     composite_threshold,
     fit_lcd,
     fit_path_lcd,
@@ -29,8 +28,6 @@ from .gcd import (
 from .paths import PathConfig, solution_path
 from .penalties import (
     PenaltySpec,
-    hard_threshold,
-    hard_threshold_star,
     objective,
     rho,
     rho_prime,

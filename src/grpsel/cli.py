@@ -21,23 +21,13 @@ import tempfile
 
 import numpy as np
 
-from .bilevel import (
-    bridge_lambda_upper,
-    cmcp_lambda_max,
-    fit_lcd,
-    fit_sparse_group_lasso,
-    sgl_lambda_max,
-)
 from .cv import kfold_cv
 from .design import build_design, group_norms
 from .errors import ConfigError, GrpselError, NonFiniteInput, ParseError
-from .gcd import fit_gcd, lambda_max
-from .paths import PathConfig, solution_path
+from .paths import FAMILIES, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
-
-GCD_SET = ("glasso", "gmcp", "gscad")
 
 
 def _fmt(x) -> str:
@@ -157,40 +147,21 @@ def _weights_arg(args, pen: PenaltySpec, labels):
         table = {}
         with open(args.weights_file, newline="") as handle:
             for row in csv.reader(handle):
-                if not row:
+                if not row or row[0].strip() == "group_id":
                     continue
-                if row[0].strip() == "group_id":
-                    continue
-                table[int(row[0])] = float(row[1])
+                if len(row) != 2:
+                    raise ParseError(f"{args.weights_file}: expected two columns per row")
+                try:
+                    table[int(row[0])] = float(row[1])
+                except ValueError:
+                    raise ParseError(
+                        f"{args.weights_file}: cannot parse weight row {row}") from None
         uniq = np.unique(labels)
         try:
             return np.array([table[int(g)] for g in uniq])
         except KeyError as exc:
             raise ParseError(f"missing weight for group {exc}") from None
     raise ParseError(f"unknown weights rule {args.weights!r}")
-
-
-def _load_design(args, pen: PenaltySpec):
-    names, X = read_matrix_csv(args.x)
-    y = read_vector_csv(args.y)
-    labels = read_groups_csv(args.groups, names)
-    orth = pen.family in GCD_SET
-    weights = _weights_arg(args, pen, labels)
-    design = build_design(X, y, labels, weights=weights, orthonormalize=orth)
-    return names, design
-
-
-def _penalty_from_args(args, gamma=None) -> PenaltySpec:
-    fam = args.penalty
-    kwargs = {"lam": 0.0}
-    if fam == "sgl":
-        kwargs["lam2"] = args.lambda2 if args.lambda2 is not None else 0.0
-    if gamma is not None:
-        if fam == "cmcp":
-            kwargs["gamma_inner"] = gamma
-        elif fam not in ("sgl",):
-            kwargs["gamma"] = gamma
-    return PenaltySpec(fam, **kwargs)
 
 
 def _parse_gammas(text):
@@ -207,16 +178,27 @@ def _parse_gammas(text):
     return out
 
 
+def _load_problem(args):
+    """The command's gamma list, penalty template, column names and design."""
+    gammas = _parse_gammas(args.gamma)
+    if args.penalty == "sgl":
+        pen = PenaltySpec("sgl", lam=0.0, lam2=args.lambda2 or 0.0)
+    else:
+        pen = PenaltySpec(args.penalty, lam=0.0)
+        if gammas:
+            pen = pen.with_gamma(gammas[0])
+    names, X = read_matrix_csv(args.x)
+    y = read_vector_csv(args.y)
+    labels = read_groups_csv(args.groups, names)
+    design = build_design(X, y, labels, weights=_weights_arg(args, pen, labels),
+                          orthonormalize=FAMILIES[pen.family].orthonormalized)
+    return gammas, pen, names, design
+
+
 def _lambda_value(args, design, pen):
     if args.lam != "max":
         return float(args.lam)
-    if pen.family in GCD_SET:
-        return lambda_max(design)
-    if pen.family == "sgl":
-        return sgl_lambda_max(design)
-    if pen.family == "cmcp":
-        return cmcp_lambda_max(design)
-    return bridge_lambda_upper(design, pen)
+    return FAMILIES[pen.family].top(design, pen)
 
 
 def cmd_simulate(args) -> int:
@@ -250,23 +232,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_once(design, pen, args):
-    if pen.family in GCD_SET:
-        return fit_gcd(design, pen, tol=args.tol, max_iter=args.max_iter)
-    if pen.family == "sgl":
-        return fit_sparse_group_lasso(
-            design, pen.lam, pen.lam2, tol=args.tol, max_iter=args.max_iter
-        )
-    return fit_lcd(design, pen, tol=args.tol, max_iter=args.max_iter)
+def _report_nonconverged(k: int, total: int) -> None:
+    if k:
+        print(f"{k} of {total} fits did not converge", file=sys.stderr)
 
 
 def cmd_fit(args) -> int:
-    gammas = _parse_gammas(args.gamma)
-    pen0 = _penalty_from_args(args, gammas[0] if gammas else None)
-    names, design = _load_design(args, pen0)
+    _, pen0, names, design = _load_problem(args)
     lam = _lambda_value(args, design, pen0)
     pen = pen0.with_lam(lam, args.lambda2 if pen0.family == "sgl" else None)
-    fit = _fit_once(design, pen, args)
+    fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
     second_name = "lambda2" if pen.family == "sgl" else "gamma"
     second_val = pen.lam2 if pen.family == "sgl" else pen.shape_param
     write_csv(
@@ -295,6 +270,12 @@ def cmd_fit(args) -> int:
 
 
 def _path_config(args, gammas=None) -> PathConfig:
+    if args.nlambda < 2:
+        raise ConfigError("--nlambda must be at least 2")
+    if args.lambda_min_ratio is not None and not 0 < args.lambda_min_ratio < 1:
+        raise ConfigError("--lambda-min-ratio must lie in (0, 1)")
+    if getattr(args, "folds", 2) < 2:
+        raise ConfigError("--folds must be at least 2")
     return PathConfig(
         n_lambda=args.nlambda,
         lambda_min_ratio=args.lambda_min_ratio,
@@ -307,10 +288,9 @@ def _path_config(args, gammas=None) -> PathConfig:
     )
 
 
-def _write_path_files(prefix, tag, design, names, path, rows_for):
+def _write_path_files(prefix, tag, design, names, lambda_max, second_name, rows):
     """One coefficient file and one group-norm companion per path block."""
-    lam_max = path.lambda_max if path.lambda_max > 0 else 1.0
-    second_name, rows = rows_for
+    lam_max = lambda_max if lambda_max > 0 else 1.0
     coef_header = ["lambda", "lambda_ratio", second_name] + names
     uniq = np.unique(design.labels)
     norm_header = ["lambda", "lambda_ratio", second_name] + [
@@ -326,38 +306,28 @@ def _write_path_files(prefix, tag, design, names, path, rows_for):
 
 
 def cmd_path(args) -> int:
-    gammas = _parse_gammas(args.gamma)
-    pen0 = _penalty_from_args(args, gammas[0] if gammas else None)
-    names, design = _load_design(args, pen0)
-    if pen0.family in GCD_SET and gammas and len(gammas) > 1:
-        config = _path_config(args, gammas)
-        path = solution_path(design, pen0, config)
+    gammas, pen0, names, design = _load_problem(args)
+    path = solution_path(design, pen0, _path_config(args, gammas))
+    _report_nonconverged(sum(not f.converged for f in path.fits), len(path.fits))
+    second = "lambda2" if pen0.family == "sgl" else "gamma"
+    rows = list(zip(path.grid, path.fits))
+    if FAMILIES[pen0.family].orthonormalized and gammas and len(gammas) > 1:
         for g in gammas:
-            block = [
-                (pt, fit) for pt, fit in zip(path.grid, path.fits) if pt[1] == g
-            ]
             tag = "_gamma" + ("inf" if math.isinf(g) else _fmt(float(g)))
-            sub = type(path)(path.family, [pt for pt, _ in block],
-                             [f for _, f in block], path.lambda_max)
-            _write_path_files(args.out, tag, design, names, sub, ("gamma", block))
+            block = [row for row in rows if row[0][1] == g]
+            _write_path_files(args.out, tag, design, names, path.lambda_max, second, block)
         print(f"wrote {len(gammas)} path file pairs under prefix {args.out}")
         return 0
-    config = _path_config(args, gammas)
-    path = solution_path(design, pen0, config)
-    second = "lambda2" if pen0.family == "sgl" else "gamma"
-    _write_path_files(
-        args.out, "", design, names, path, (second, list(zip(path.grid, path.fits)))
-    )
+    _write_path_files(args.out, "", design, names, path.lambda_max, second, rows)
     print(f"wrote path files under prefix {args.out}")
     return 0
 
 
 def cmd_cv(args) -> int:
-    gammas = _parse_gammas(args.gamma)
-    pen0 = _penalty_from_args(args, gammas[0] if gammas else None)
-    names, design = _load_design(args, pen0)
+    gammas, pen0, names, design = _load_problem(args)
     config = _path_config(args, gammas)
     report = kfold_cv(design, pen0, config, K=args.folds, seed=args.seed)
+    _report_nonconverged(report.n_nonconverged, len(report.grid) * (report.n_folds + 1))
     second = "lambda2" if pen0.family == "sgl" else "gamma"
     write_csv(
         args.out + "_cvgrid.csv",
@@ -381,6 +351,7 @@ def cmd_cv(args) -> int:
             "chosen_1se": {"lambda": report.chosen_1se[0], second: report.chosen_1se[1],
                            "n_nonzero": chosen_fit_1se.n_nonzero},
             "min_cv_error": float(np.min(report.mean_cv_error)),
+            "n_nonconverged": report.n_nonconverged,
         },
     )
     print(
@@ -398,6 +369,8 @@ def cmd_verify_theory(args) -> int:
             raise ConfigError(f"{args.config}: {exc}") from None
     report = run_experiment(config)
     write_json(args.out, report)
+    if "n_nonconverged" in report:
+        _report_nonconverged(report["n_nonconverged"], report["reps"])
     if "cases" in report:
         for case in report["cases"]:
             print(f"{case['status']}: t={case['t']} k={case['k']} "
@@ -425,13 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output file prefix")
     sim.set_defaults(func=cmd_simulate)
 
+    def add_grid_flags(p):
+        add_data_flags(p)
+        p.add_argument("--nlambda", type=int, default=100)
+        p.add_argument("--lambda-min-ratio", type=float, default=None)
+        p.add_argument("--warm-start", default="previous_lambda", choices=WARM_STARTS)
+        p.add_argument("--lambda2-ratio", type=float, default=1.0)
+
     def add_data_flags(p):
         p.add_argument("--x", required=True, help="predictor CSV (headered)")
         p.add_argument("--y", required=True, help="response CSV (single column)")
         p.add_argument("--groups", required=True,
                        help="column_name,group_id CSV")
-        p.add_argument("--penalty", required=True,
-                       choices=["glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl"])
+        p.add_argument("--penalty", required=True, choices=list(FAMILIES))
         p.add_argument("--gamma", default=None,
                        help="concavity parameter(s), comma list; 'inf' allowed")
         p.add_argument("--lambda2", type=float, default=None,
@@ -450,21 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     path = sub.add_parser("path", help="pathwise fits over a lambda grid")
-    add_data_flags(path)
-    path.add_argument("--nlambda", type=int, default=100)
-    path.add_argument("--lambda-min-ratio", type=float, default=None)
-    path.add_argument("--warm-start", default="previous_lambda",
-                      choices=["previous_lambda", "group_lasso_init"])
-    path.add_argument("--lambda2-ratio", type=float, default=1.0)
+    add_grid_flags(path)
     path.set_defaults(func=cmd_path)
 
     cv = sub.add_parser("cv", help="K-fold cross-validation over the grid")
-    add_data_flags(cv)
-    cv.add_argument("--nlambda", type=int, default=100)
-    cv.add_argument("--lambda-min-ratio", type=float, default=None)
-    cv.add_argument("--warm-start", default="previous_lambda",
-                    choices=["previous_lambda", "group_lasso_init"])
-    cv.add_argument("--lambda2-ratio", type=float, default=1.0)
+    add_grid_flags(cv)
     cv.add_argument("--folds", type=int, default=10)
     cv.add_argument("--seed", type=int, default=0)
     cv.set_defaults(func=cmd_cv)

@@ -32,7 +32,9 @@ class CVReport:
     ``chosen_min`` minimizes the mean error; ``chosen_1se`` is the sparsest
     (largest lambda) grid point whose mean error is within one standard
     error of that minimum.  ``path`` is the full-data path on the same
-    grid, convenient for refits at the chosen points.
+    grid, convenient for refits at the chosen points.  ``n_nonconverged``
+    counts the fits, over the full path and every fold path, that stopped
+    without converging.
     """
 
     family: str
@@ -45,6 +47,7 @@ class CVReport:
     seed: int
     fold_sizes: tuple
     path: object
+    n_nonconverged: int
 
 
 def fold_assignments(n: int, K: int, seed: int):
@@ -78,6 +81,7 @@ def kfold_cv(
     full_path = solution_path(design, pen_template, config)
     lambdas = np.array(sorted({lam for lam, _ in full_path.grid}, reverse=True))
     folds = fold_assignments(design.n, K, seed)
+    n_nonconverged = sum(not fit.converged for fit in full_path.fits)
 
     n_points = len(full_path.grid)
     fold_means = np.empty((K, n_points))
@@ -91,6 +95,7 @@ def kfold_cv(
                                   config=config, lambdas=lambdas)
         if fold_path.grid != full_path.grid:
             raise RuntimeError("fold grid does not align with the full-data grid")
+        n_nonconverged += sum(not fit.converged for fit in fold_path.fits)
         X_test = design.X_raw[test_rows]
         y_test = design.y_raw[test_rows]
         for i, fit in enumerate(fold_path.fits):
@@ -117,4 +122,5 @@ def kfold_cv(
         seed=seed,
         fold_sizes=tuple(len(f) for f in folds),
         path=full_path,
+        n_nonconverged=n_nonconverged,
     )

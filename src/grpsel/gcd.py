@@ -1,13 +1,22 @@
-"""Group coordinate descent for 2-norm group penalties.
+"""The block-descent engine, and group coordinate descent for 2-norm penalties.
 
-One descent step exactly minimizes the penalized criterion over a single
-group, holding the others fixed: with orthonormalized blocks the group
-subproblem is a single-group model whose solution is one of the closed-form
-threshold operators.  Cycling over groups until the coefficients stop moving
-yields the group LASSO / group MCP / group SCAD fits; each step is
-guaranteed not to increase the objective.  Pathwise fits proceed down a
-log-spaced grid from ``lambda_max`` (where the solution is identically
-zero), warm-starting each fit from its neighbor.
+Every solver in the package cycles over the groups, exactly minimizes a
+one-group (or one-coordinate) surrogate and keeps a running residual.  That
+loop is written once, in ``_descend``: starting values, the residual and
+its periodic refresh, the convergence and non-finite tests, the per-update
+descent check and the ``FitResult``.  Each family supplies only one sweep
+and its stationarity check: ``fit_gcd`` here, ``fit_lcd`` and
+``fit_sparse_group_lasso`` in ``bilevel``.
+
+One group coordinate descent step exactly minimizes the penalized criterion
+over a single group, holding the others fixed: with orthonormalized blocks
+the group subproblem is a single-group model whose solution is one of the
+closed-form threshold operators.  Cycling over groups until the
+coefficients stop moving yields the group LASSO / group MCP / group SCAD
+fits; each step is guaranteed not to increase the objective.  Pathwise fits
+(``paths.solution_path``) proceed down a log-spaced grid from
+``lambda_max`` (where the solution is identically zero), warm-starting
+each fit from its neighbor.
 
 Skipping zero groups.  Each cycle starts with one product
 ``g = X'r/n + b`` over all groups.  Walking the groups in order, the sweep
@@ -28,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthonormalized, UnsupportedFamily
-from .penalties import PenaltySpec, objective, rho_prime, solve_single_group
+from .penalties import _GROUP_RHO, PenaltySpec, objective, rho_prime, solve_single_group
 
-GCD_FAMILIES = ("glasso", "gmcp", "gscad")
-
-_KKT_FAMILY = {"glasso": "l1", "gmcp": "mcp", "gscad": "scad"}
+# the 2-norm group families and the scalar penalty applied to each group norm
+_GROUP_PENALTY = {fam: kind for fam, (kind, norm) in _GROUP_RHO.items() if norm == "l2"}
 
 
 @dataclass
@@ -105,6 +113,77 @@ def default_min_ratio(design) -> float:
     return 1e-3 if design.n > design.p else 0.05
 
 
+def _start(design, init) -> np.ndarray:
+    """A fresh copy of the starting coefficients (zeros when ``init`` is None)."""
+    if init is None:
+        return np.zeros(design.p)
+    b = np.asarray(init, dtype=float).ravel().copy()
+    if b.shape != (design.p,):
+        raise ValueError("init has the wrong length")
+    return b
+
+
+def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
+             check_descent) -> FitResult:
+    """The cycle loop shared by every solver.
+
+    ``sweep(b, r, note)`` runs one cycle over the groups, updating the
+    coefficients ``b`` and the running residual ``r`` in place, calls
+    ``note()`` (when it is not None) after every group or coordinate
+    update, and returns the largest coefficient move of the cycle.
+    ``stationarity(b)`` is the family's stationarity residual.  Convergence
+    is declared when no coefficient moves by more than ``tol`` over a cycle;
+    if ``max_iter`` cycles pass without that, or the residual turns
+    non-finite, the last iterate is returned with ``converged=False``.
+    """
+    p, X, y = design.p, design.X, design.y
+    b = _start(design, init)
+    r = y - X @ b if np.any(b) else y.copy()
+
+    note = None
+    max_increase = None
+    if check_descent:
+        # the largest objective increase over single updates (roundoff only)
+        max_increase = -math.inf
+        prev_obj = objective(design, b, pen)
+
+        def note():
+            nonlocal max_increase, prev_obj
+            obj = objective(design, b, pen)
+            max_increase = max(max_increase, obj - prev_obj)
+            prev_obj = obj
+
+    converged = False
+    iterations = 0
+    for it in range(1, max_iter + 1):
+        iterations = it
+        delta = sweep(b, r, note)
+        if not np.isfinite(r).all():
+            break  # a non-finite residual can never count as converged
+        if delta <= tol:
+            converged = True
+            break
+        if it % 100 == 0:
+            # guard against floating-point drift in the running residual
+            r = y - X @ b
+
+    drift = float(np.max(np.abs(r - (y - X @ b)))) if p else 0.0
+    sgl = pen.family == "sgl"
+    return FitResult(
+        beta=design.back_transform(b),
+        coef=b,
+        objective=objective(design, b, pen),
+        iterations=iterations,
+        converged=converged,
+        kkt_max_violation=stationarity(b),
+        lam=pen.lam,
+        gamma=None if sgl else pen.shape_param,
+        lam2=pen.lam2 if sgl else None,
+        max_descent_violation=max_increase,
+        residual_drift=drift,
+    )
+
+
 def fit_gcd(
     design,
     pen: PenaltySpec,
@@ -112,8 +191,6 @@ def fit_gcd(
     tol: float = 1e-7,
     max_iter: int = 10_000,
     check_descent: bool = False,
-    n_starts: int = 1,
-    seed: int = 0,
 ) -> FitResult:
     """Group coordinate descent fit at a single (lam, gamma).
 
@@ -127,47 +204,22 @@ def fit_gcd(
     exceed roundoff).
 
     For the concave families the result is a stationary point, not
-    necessarily a global minimizer; ``n_starts > 1`` adds seeded random
-    restarts and keeps the lowest objective.
+    necessarily a global minimizer.
     """
-    if n_starts > 1:
-        best = fit_gcd(design, pen, init, tol, max_iter, check_descent)
-        rng = np.random.default_rng(seed)
-        for _ in range(n_starts - 1):
-            alt = fit_gcd(design, pen, rng.standard_normal(design.p), tol,
-                          max_iter, check_descent)
-            if alt.objective < best.objective:
-                best = alt
-        return best
-    if pen.family not in GCD_FAMILIES:
+    if pen.family not in _GROUP_PENALTY:
         raise UnsupportedFamily(
-            f"fit_gcd handles {GCD_FAMILIES}, not {pen.family!r}"
+            f"fit_gcd handles {tuple(_GROUP_PENALTY)}, not {pen.family!r}"
         )
     if not design.orthonormalized:
         raise NotOrthonormalized(
             "fit_gcd requires a design built with orthonormalize=True"
         )
-    n, p = design.n, design.p
-    X, y = design.X, design.y
-    if init is None:
-        b = np.zeros(p)
-        r = y.copy()
-    else:
-        b = np.asarray(init, dtype=float).ravel().copy()
-        if b.shape != (p,):
-            raise ValueError("init has the wrong length")
-        r = y - X @ b
-
-    lam, gamma = pen.lam, pen.gamma
+    n, X = design.n, design.X
+    gamma, family = pen.gamma, pen.family
     bounds = [(start, start + size) for start, size in design.groups]
-    thresholds = (design.cj * lam).tolist()
-    max_increase = -math.inf if check_descent else None
-    prev_obj = objective(design, b, pen) if check_descent else None
+    thresholds = (design.cj * pen.lam).tolist()
 
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
+    def sweep(b, r, note):
         g = X.T @ r / n + b
         g_norms = design.group_l2(g).tolist()
         nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
@@ -175,12 +227,12 @@ def fit_gcd(
         for j, (a, e) in enumerate(bounds):
             if not nonzero[j] and g_norms[j] + moved <= thresholds[j]:
                 # the exact update leaves this zero group at zero (see above)
-                if check_descent:
-                    max_increase = max(max_increase, 0.0)
+                if note:
+                    note()
                 continue
             # until something moves, r is the residual g was computed from
             z = g[a:e] if moved == 0.0 else X[:, a:e].T @ r / n + b[a:e]
-            new = solve_single_group(z, thresholds[j], gamma, pen.family)
+            new = solve_single_group(z, thresholds[j], gamma, family)
             diff = new - b[a:e]
             step = np.max(np.abs(diff))
             if step > 0:
@@ -188,32 +240,12 @@ def fit_gcd(
                 b[a:e] = new
                 moved += math.sqrt(diff @ diff)
             delta = max(delta, step)
-            if check_descent:
-                obj = objective(design, b, pen)
-                max_increase = max(max_increase, obj - prev_obj)
-                prev_obj = obj
-        if not np.isfinite(r).all():
-            break  # a non-finite residual can never count as converged
-        if delta <= tol:
-            converged = True
-            break
-        if it % 100 == 0:
-            # guard against floating-point drift in the running residual
-            r = y - X @ b
+            if note:
+                note()
+        return delta
 
-    drift = float(np.max(np.abs(r - (y - X @ b)))) if p else 0.0
-    return FitResult(
-        beta=design.back_transform(b),
-        coef=b,
-        objective=objective(design, b, pen),
-        iterations=iterations,
-        converged=converged,
-        kkt_max_violation=kkt_check(design, pen, b),
-        lam=lam,
-        gamma=gamma,
-        max_descent_violation=max_increase,
-        residual_drift=drift,
-    )
+    return _descend(design, pen, init, sweep, lambda b: kkt_check(design, pen, b),
+                    tol, max_iter, check_descent)
 
 
 def kkt_check(design, pen: PenaltySpec, coef: np.ndarray) -> float:
@@ -224,14 +256,14 @@ def kkt_check(design, pen: PenaltySpec, coef: np.ndarray) -> float:
     norm at most the penalty's slope at zero (c_j * lam for every family
     here).  Returns the maximum over groups.
     """
-    if pen.family not in GCD_FAMILIES:
-        raise UnsupportedFamily(f"kkt_check handles {GCD_FAMILIES} only")
+    if pen.family not in _GROUP_PENALTY:
+        raise UnsupportedFamily(f"kkt_check handles {tuple(_GROUP_PENALTY)} only")
     coef = np.asarray(coef, dtype=float).ravel()
     r = design.y - design.X @ coef
     g = design.X.T @ r / design.n
     nb = design.group_l2(coef)
     lam_j = design.cj * pen.lam
-    slope = rho_prime(nb, lam_j, pen.gamma, _KKT_FAMILY[pen.family])
+    slope = rho_prime(nb, lam_j, pen.gamma, _GROUP_PENALTY[pen.family])
     nonzero = nb > 0
     dims = design.dims
     # a zero group keeps g_j itself (its coefficients are zero)
@@ -252,55 +284,14 @@ def fit_path(
     tol: float = 1e-7,
     max_iter: int = 10_000,
 ) -> SolutionPath:
-    """Warm-started pathwise fits over a (lambda, gamma) grid.
+    """``paths.solution_path`` for a 2-norm family, settings passed one by one.
 
-    Two warm-start strategies are available: ``previous_lambda`` chains
-    each fit from the solution at the previous (larger) lambda, and
-    ``group_lasso_init`` starts every concave fit from the group LASSO
-    solution at the same lambda (itself computed as a chained path).
-    Non-converged points are recorded as such rather than aborting.
+    ``warm_start`` is ``previous_lambda`` (chain down the grid) or
+    ``group_lasso_init`` (start each concave fit from the group LASSO path).
     """
-    if warm_start not in ("previous_lambda", "group_lasso_init"):
-        raise ValueError(f"unknown warm start strategy {warm_start!r}")
-    lam_max = lambda_max(design)
-    if lambdas is None:
-        if lambda_min_ratio is None:
-            lambda_min_ratio = default_min_ratio(design)
-        lambdas = lambda_grid(lam_max, n_lambda, lambda_min_ratio)
-    else:
-        lambdas = np.asarray(lambdas, dtype=float)
-    if gamma_grid is None:
-        gamma_grid = [pen_template.gamma]
+    from .paths import PathConfig, solution_path  # paths imports this module
 
-    glasso_chain = None
-    if warm_start == "group_lasso_init":
-        glasso_chain = []
-        b = np.zeros(design.p)
-        for lam in lambdas:
-            fit = fit_gcd(
-                design,
-                PenaltySpec("glasso", lam=float(lam)),
-                init=b,
-                tol=tol,
-                max_iter=max_iter,
-            )
-            glasso_chain.append(fit.coef)
-            b = fit.coef
-
-    grid = []
-    fits = []
-    for gamma in gamma_grid:
-        pen_g = pen_template.with_gamma(float(gamma))
-        b = np.zeros(design.p)
-        for i, lam in enumerate(lambdas):
-            if warm_start == "group_lasso_init":
-                b = glasso_chain[i]
-            fit = fit_gcd(
-                design, pen_g.with_lam(float(lam)), init=b, tol=tol, max_iter=max_iter
-            )
-            grid.append((float(lam), float(gamma)))
-            fits.append(fit)
-            b = fit.coef
-    return SolutionPath(
-        family=pen_template.family, grid=grid, fits=fits, lambda_max=lam_max
-    )
+    if pen_template.family not in _GROUP_PENALTY:
+        raise UnsupportedFamily(f"fit_path handles {tuple(_GROUP_PENALTY)} only")
+    config = PathConfig(n_lambda, lambda_min_ratio, gamma_grid, warm_start, tol, max_iter)
+    return solution_path(design, pen_template, config, lambdas)

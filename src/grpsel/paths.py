@@ -1,18 +1,89 @@
-"""Uniform pathwise fitting across all penalty families."""
+"""Warm-started pathwise fits, one driver for every penalty family.
+
+``FAMILIES`` records, per family, the solver that fits it, the penalty
+level at which that fit is identically zero (the top of the grid), whether
+the design must be orthonormalized and which way the path runs;
+``solution_path`` walks the grid for any family from that table.
+``fit_path`` (2-norm families), ``fit_path_lcd`` and ``fit_path_sgl`` are
+the same driver with the settings passed one by one.
+"""
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .bilevel import fit_path_lcd, fit_path_sgl
-from .gcd import SolutionPath, fit_path
+import numpy as np
+
+from . import bilevel, gcd
+from .bilevel import fit_path_lcd, fit_path_sgl, least_squares_init
+from .gcd import SolutionPath, default_min_ratio, fit_path, lambda_grid
 from .penalties import PenaltySpec
+
+__all__ = ["FAMILIES", "Family", "PathConfig", "fit_path", "fit_path_lcd",
+           "fit_path_sgl", "solution_path"]
+
+WARM_STARTS = ("previous_lambda", "group_lasso_init")
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one penalty family is fitted.
+
+    ``fit(design, pen, init=..., tol=..., max_iter=...)`` is its solver and
+    ``top(design, pen)`` the smallest penalty level at which that solver
+    returns zero.  ``ascending`` paths start from the least squares fit at
+    the smallest lambda and chain upward.  Both functions look the solver
+    up in its module at call time, so a replaced module attribute (as in
+    the traced benchmark) is the one that runs.
+    """
+
+    fit: Callable
+    top: Callable
+    orthonormalized: bool
+    ascending: bool = False
+
+
+_GROUP = Family(
+    fit=lambda design, pen, **kw: gcd.fit_gcd(design, pen, **kw),
+    top=lambda design, pen: gcd.lambda_max(design),
+    orthonormalized=True,
+)
+
+
+def _fit_lcd(design, pen, **kw):
+    return bilevel.fit_lcd(design, pen, **kw)
+
+
+FAMILIES = {
+    "glasso": _GROUP,
+    "gmcp": _GROUP,
+    "gscad": _GROUP,
+    # a bridge group at zero cannot re-enter (its tangent slope diverges)
+    "gbridge": Family(
+        fit=_fit_lcd,
+        top=lambda design, pen: bilevel.bridge_lambda_upper(design, pen),
+        orthonormalized=False,
+        ascending=True,
+    ),
+    "cmcp": Family(
+        fit=_fit_lcd,
+        top=lambda design, pen: bilevel.cmcp_lambda_max(design),
+        orthonormalized=False,
+    ),
+    "sgl": Family(
+        fit=lambda design, pen, **kw: bilevel.fit_sparse_group_lasso(
+            design, pen.lam, pen.lam2, **kw),
+        top=lambda design, pen: bilevel.sgl_lambda_max(design),
+        orthonormalized=False,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class PathConfig:
     """Grid and solver settings shared by path fits and cross-validation.
 
-    ``gamma_grid`` applies to the concave 2-norm families; ``None`` means
-    the single value carried by the penalty spec.  For the sgl family the
+    ``gamma_grid`` applies to every family but sgl; ``None`` means the
+    single value carried by the penalty spec.  For the sgl family the
     group-level parameter follows the grid as
     ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
     """
@@ -27,69 +98,72 @@ class PathConfig:
     sgl_lambda2: float = None
 
 
+def _chain(family: Family, design, pens, config, start, inits=None) -> list:
+    """Fit ``pens`` in path order, each warm-started from the previous fit.
+
+    The first fit starts from ``start``; with ``inits`` (one starting value
+    per point) nothing is chained.
+    """
+    fits = [None] * len(pens)
+    b = start
+    order = range(len(pens))
+    for i in reversed(order) if family.ascending else order:
+        fits[i] = family.fit(design, pens[i], init=b if inits is None else inits[i],
+                             tol=config.tol, max_iter=config.max_iter)
+        b = fits[i].coef
+    return fits
+
+
 def solution_path(
     design, pen_template: PenaltySpec, config: PathConfig = None, lambdas=None
 ) -> SolutionPath:
-    """Fit the full path for any family, dispatching on the penalty."""
+    """Warm-started fits along a descending lambda grid, for any family.
+
+    The grid runs from the family's top level down to ``lambda_min_ratio``
+    times it, unless ``lambdas`` is given (it is then sorted descending).
+    Every gamma of ``config.gamma_grid`` gets the grid of the first one, so
+    grids built on different data (cross-validation folds) stay aligned
+    point-for-point.  Each fit starts from the previous lambda's solution,
+    the first from zero, or from least squares for an ascending family.
+    With ``group_lasso_init`` every 2-norm fit starts instead from the
+    group LASSO solution at the same lambda (itself a chained path).
+    ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
+    Non-converged points are recorded as such rather than aborting.
+    """
     if config is None:
         config = PathConfig()
-    fam = pen_template.family
-    if fam in ("glasso", "gmcp", "gscad"):
-        return fit_path(
-            design,
-            pen_template,
-            n_lambda=config.n_lambda,
-            lambda_min_ratio=config.lambda_min_ratio,
-            gamma_grid=config.gamma_grid,
-            warm_start=config.warm_start,
-            lambdas=lambdas,
-            tol=config.tol,
-            max_iter=config.max_iter,
-        )
-    if fam == "sgl":
-        return fit_path_sgl(
-            design,
-            lam2_ratio=config.sgl_lambda2_ratio,
-            lam2=config.sgl_lambda2,
-            n_lambda=config.n_lambda,
-            lambda_min_ratio=config.lambda_min_ratio,
-            lambdas=lambdas,
-            tol=config.tol,
-            max_iter=config.max_iter,
-        )
-    if config.gamma_grid is not None and len(config.gamma_grid) > 1:
-        # one lambda grid shared across the gamma sweep, so grids built on
-        # different data (cross-validation folds) stay aligned point-for-point
-        paths = []
-        shared = lambdas
-        for g in config.gamma_grid:
-            block = fit_path_lcd(
-                design,
-                pen_template.with_gamma(g),
-                n_lambda=config.n_lambda,
-                lambda_min_ratio=config.lambda_min_ratio,
-                lambdas=shared,
-                tol=config.tol,
-                max_iter=config.max_iter,
-            )
-            if shared is None:
-                shared = [lam for lam, _ in block.grid]
-            paths.append(block)
-        return SolutionPath(
-            family=fam,
-            grid=[pt for p in paths for pt in p.grid],
-            fits=[f for p in paths for f in p.fits],
-            lambda_max=paths[0].lambda_max,
-        )
-    pen = pen_template
-    if config.gamma_grid is not None:
-        pen = pen_template.with_gamma(config.gamma_grid[0])
-    return fit_path_lcd(
-        design,
-        pen,
-        n_lambda=config.n_lambda,
-        lambda_min_ratio=config.lambda_min_ratio,
-        lambdas=lambdas,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    if config.warm_start not in WARM_STARTS:
+        raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
+    sgl = pen_template.family == "sgl"
+    family = FAMILIES[pen_template.family]
+    if sgl or config.gamma_grid is None:
+        pens = [pen_template]
+    else:
+        pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
+    if lambdas is None:
+        ratio = config.lambda_min_ratio
+        if ratio is None:
+            ratio = default_min_ratio(design)
+        lambdas = lambda_grid(family.top(design, pens[0]), config.n_lambda, ratio)
+    else:
+        lambdas = np.sort(np.asarray(lambdas, dtype=float))[::-1]
+
+    start = least_squares_init(design) if family.ascending else np.zeros(design.p)
+    inits = None
+    if config.warm_start == "group_lasso_init" and family.orthonormalized:
+        glasso = [PenaltySpec("glasso", lam=float(lam)) for lam in lambdas]
+        inits = [fit.coef for fit in _chain(_GROUP, design, glasso, config, start)]
+
+    grid, fits = [], []
+    for pen in pens:
+        if sgl:
+            lam2 = config.sgl_lambda2
+            points = [pen.with_lam(lam, config.sgl_lambda2_ratio * float(lam)
+                                   if lam2 is None else lam2) for lam in lambdas]
+            grid += [(p.lam, p.lam2) for p in points]
+        else:
+            points = [pen.with_lam(lam) for lam in lambdas]
+            grid += [(p.lam, float(p.shape_param)) for p in points]
+        fits += _chain(family, design, points, config, start, inits)
+    return SolutionPath(family=pen_template.family, grid=grid, fits=fits,
+                        lambda_max=float(lambdas[0]))

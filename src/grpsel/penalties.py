@@ -14,9 +14,6 @@ Scalar penalty families (``rho``, ``rho_prime``), as functions of t >= 0:
     reduces to ``l1``.
 ``bridge``
     lam * t**gamma with 0 < gamma <= 1 (derivative unbounded at 0).
-``capped_l1``
-    min(gamma*lam**2/2, lam*t) with gamma > 1.  Penalty value only; no
-    group threshold operator is provided for it.
 
 The group threshold operators are the exact minimizers of
 
@@ -35,18 +32,12 @@ import numpy as np
 from .errors import DomainError, GammaOutOfRange, UnsupportedFamily
 
 FAMILIES = ("glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl")
-# 1-norm group MCP/SCAD: same machinery as the group bridge with a different
-# outer penalty.  These estimators are essentially unstudied, so they are kept
-# behind an explicit opt-in in the solvers.
-EXPERIMENTAL_FAMILIES = ("gmcp1", "gscad1")
 
 _DEFAULT_GAMMA = {
     "glasso": math.inf,
     "gmcp": 2.7,
     "gscad": 3.7,
     "gbridge": 0.5,
-    "gmcp1": 2.7,
-    "gscad1": 3.7,
     "sgl": math.inf,
     "cmcp": math.inf,
 }
@@ -76,7 +67,7 @@ class PenaltySpec:
     gamma_inner: float = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES + EXPERIMENTAL_FAMILIES:
+        if self.family not in FAMILIES:
             raise UnsupportedFamily(f"unknown penalty family {self.family!r}")
         if self.lam < 0 or self.lam2 < 0:
             raise ValueError("penalty levels must be nonnegative")
@@ -92,9 +83,9 @@ class PenaltySpec:
         elif self.gamma_inner is not None:
             raise ValueError("gamma_inner applies to the cmcp family only")
         g = self.gamma
-        if self.family in ("gmcp", "gmcp1") and not g > 1:
+        if self.family == "gmcp" and not g > 1:
             raise GammaOutOfRange("MCP requires gamma > 1")
-        if self.family in ("gscad", "gscad1") and not g > 2:
+        if self.family == "gscad" and not g > 2:
             raise GammaOutOfRange("SCAD requires gamma > 2")
         if self.family == "gbridge" and not 0 < g < 1:
             raise GammaOutOfRange("bridge requires 0 < gamma < 1")
@@ -153,8 +144,6 @@ def _check_rho_args(t, gamma, family):
         raise GammaOutOfRange("SCAD requires gamma > 2")
     if family == "bridge" and not 0 < gamma <= 1:
         raise GammaOutOfRange("bridge requires 0 < gamma <= 1")
-    if family == "capped_l1" and not gamma > 1:
-        raise GammaOutOfRange("capped_l1 requires gamma > 1")
 
 
 def rho(t, lam, gamma=None, family="l1"):
@@ -178,8 +167,6 @@ def rho(t, lam, gamma=None, family="l1"):
         out = np.where(t <= gamma * lam, inner, lam**2 * (gamma + 1) / 2)
     elif family == "bridge":
         out = lam * t**gamma
-    elif family == "capped_l1":
-        out = np.minimum(gamma * lam**2 / 2, lam * t)
     else:
         raise UnsupportedFamily(f"unknown scalar penalty family {family!r}")
     return float(out[0]) if scalar else out
@@ -249,22 +236,6 @@ def solve_single_group(z: np.ndarray, lam: float, gamma: float, family: str) -> 
     raise UnsupportedFamily(f"no single-group solution for family {family!r}")
 
 
-def hard_threshold(z: np.ndarray, lam: float) -> np.ndarray:
-    """Zero below the norm cutoff, identity above: the gamma -> 1 MCP limit."""
-    z = np.asarray(z, dtype=float)
-    if np.linalg.norm(z) <= lam:
-        return np.zeros_like(z)
-    return z.copy()
-
-
-def hard_threshold_star(z: np.ndarray, lam: float) -> np.ndarray:
-    """The gamma -> 2 SCAD limit: soft threshold below 2*lam, identity above."""
-    z = np.asarray(z, dtype=float)
-    if np.linalg.norm(z) <= 2 * lam:
-        return soft_threshold_vec(z, lam)
-    return z.copy()
-
-
 def _mcp(t, lam, gamma):
     # MCP value without the gamma > 1 range check: the derived outer
     # concavity of the composite penalty may legitimately drop below 1.
@@ -283,8 +254,6 @@ _GROUP_RHO = {
     "gmcp": ("mcp", "l2"),
     "gscad": ("scad", "l2"),
     "gbridge": ("bridge", "l1"),
-    "gmcp1": ("mcp", "l1"),
-    "gscad1": ("scad", "l1"),
 }
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from grpsel.bilevel import (
-    CompositeSpec,
     bridge_lambda_upper,
     cmcp_lambda_max,
     composite_threshold,
@@ -41,18 +40,15 @@ def fig3_design(n=200, sigma=0.5, seed=0, orthonormalize=False):
 
 class TestCompositeThreshold:
     def test_outer_derivative_vanishes_when_all_saturated(self):
-        spec = CompositeSpec(lam=0.5, gamma_inner=2.0)
         b = np.array([1.0, 1.5, -1.2])  # all |b| >= gamma_inner*lam = 1.0
         for k in range(3):
-            assert composite_threshold(b, k, spec) == 0.0
+            assert composite_threshold(b, k, 0.5, 2.0) == 0.0
 
     def test_zero_group_gives_lam_squared(self):
-        spec = CompositeSpec(lam=0.3, gamma_inner=2.7)
-        assert composite_threshold(np.zeros(4), 0, spec) == pytest.approx(0.09)
+        assert composite_threshold(np.zeros(4), 0, 0.3, 2.7) == pytest.approx(0.09)
 
     def test_matches_finite_differences_of_composite_value(self, rng):
         lam, gi = 0.4, 2.5
-        spec = CompositeSpec(lam, gi)
         h = 1e-6
         for _ in range(25):
             b = rng.standard_normal(3) * 0.7
@@ -65,27 +61,28 @@ class TestCompositeThreshold:
             num = (
                 composite_mcp_value(bp, lam, gi) - composite_mcp_value(bm, lam, gi)
             ) / (2 * h)
-            assert composite_threshold(np.abs(b), k, spec) == pytest.approx(
+            assert composite_threshold(np.abs(b), k, lam, gi) == pytest.approx(
                 num, abs=1e-5
             )
 
     def test_saturation_point_is_sum_of_inner_maxima(self):
+        # the outer concavity d * gi * lam / 2 saturates the outer MCP at
+        # gamma_outer * lam = d * gi * lam**2 / 2, the sum of the inner maxima
         lam, gi, d = 0.6, 2.2, 4
-        spec = CompositeSpec(lam, gi)
-        assert spec.gamma_outer(d) * lam == pytest.approx(d * gi * lam**2 / 2)
+        gamma_outer = d * gi * lam / 2
         at_max = composite_mcp_value(np.full(d, gi * lam), lam, gi)
-        assert at_max == pytest.approx(spec.gamma_outer(d) * lam**2 / 2)
+        assert at_max == pytest.approx(gamma_outer * lam**2 / 2)
+        assert composite_threshold(np.full(d, gi * lam), 0, lam, gi) == 0.0
 
     def test_single_member_group_chain(self):
         lam, gi = 0.5, 3.0
-        spec = CompositeSpec(lam, gi)
         h = 1e-6
         t = 0.4
         num = (
             composite_mcp_value(np.array([t + h]), lam, gi)
             - composite_mcp_value(np.array([t - h]), lam, gi)
         ) / (2 * h)
-        assert composite_threshold(np.array([t]), 0, spec) == pytest.approx(num, abs=1e-5)
+        assert composite_threshold(np.array([t]), 0, lam, gi) == pytest.approx(num, abs=1e-5)
 
 
 class TestFitLcd:
@@ -152,17 +149,6 @@ class TestFitLcd:
         flat, _ = gaussian_design(30, [2, 2], sigma=1.0, seed=6, orthonormalize=False)
         with pytest.raises(UnsupportedFamily):
             fit_lcd(flat, PenaltySpec("glasso", lam=0.1))
-
-    def test_experimental_families_gated(self):
-        design, _ = gaussian_design(40, [2, 2], sigma=1.0, seed=7,
-                                    orthonormalize=False)
-        pen = PenaltySpec("gmcp1", lam=0.1, gamma=2.7)
-        with pytest.raises(UnsupportedFamily):
-            fit_lcd(design, pen)
-        fit = fit_lcd(design, pen, allow_experimental=True)
-        assert fit.converged
-        scad1 = fit_lcd(design, PenaltySpec("gscad1", lam=0.1), allow_experimental=True)
-        assert scad1.converged
 
     def test_stationarity_residual_small(self):
         design, _ = gaussian_design(

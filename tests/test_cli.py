@@ -223,3 +223,68 @@ def test_sgl_path_uses_lambda2_column(tmp_path, fig3_files):
     assert names[2] == "lambda2"
     np.testing.assert_allclose(coefs[:, 2], 0.5 * coefs[:, 0], rtol=1e-12)
     assert np.all(coefs[0, 3:] == 0.0)
+
+
+@pytest.mark.parametrize("row", ["0", "0,heavy", "g0,1.0"],
+                         ids=["one_cell", "weight_not_a_number", "group_not_an_integer"])
+def test_malformed_weights_file_row_exits_2(tmp_path, fig3_files, capsys, row):
+    weights = tmp_path / "weights.csv"
+    weights.write_text(f"group_id,weight\n{row}\n1,1.0\n")
+    code = main(["fit", *data_args(fig3_files), "--penalty", "glasso",
+                 "--lambda", "0.1", "--weights", "file",
+                 "--weights-file", str(weights), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "weights.csv" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("path", ["--nlambda", "1"]),
+    ("path", ["--lambda-min-ratio", "0"]),
+    ("path", ["--lambda-min-ratio", "1.5"]),
+    ("cv", ["--folds", "1"]),
+], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1"])
+def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, command, flags):
+    code = main([command, *data_args(fig3_files), "--penalty", "glasso", *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_path_reports_nonconverged_fits_on_stderr(tmp_path, fig3_files, capsys):
+    args = ["path", *data_args(fig3_files), "--penalty", "gmcp", "--gamma", "1.2,inf",
+            "--nlambda", "6"]
+    assert main([*args, "--out", str(tmp_path / "ok")]) == 0
+    converged = capsys.readouterr()
+    assert converged.err == ""
+    assert main([*args, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
+    cut = capsys.readouterr()
+    assert cut.out == converged.out.replace("ok", "cut")
+    k, total = cut.err.split(" fits did not converge")[0].split(" of ")
+    assert 0 < int(k) <= int(total) == 12
+
+
+def test_cv_counts_nonconverged_fits(tmp_path, fig3_files, capsys):
+    out = str(tmp_path / "cv")
+    assert main(["cv", *data_args(fig3_files), "--penalty", "glasso", "--nlambda", "5",
+                 "--folds", "3", "--max-iter", "1", "--out", out]) == 0
+    report = json.load(open(out + "_cv.json"))
+    assert 0 < report["n_nonconverged"] <= 5 * 4
+    err = capsys.readouterr().err
+    assert err == f"{report['n_nonconverged']} of 20 fits did not converge\n"
+
+
+def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypatch):
+    from grpsel import gcd, theory
+
+    monkeypatch.setattr(theory, "fit_gcd",
+                        lambda *args, **kwargs: gcd.fit_gcd(*args, max_iter=1, **kwargs))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1",
+                               "params": {"n": 60, "group_sizes": [2] * 4,
+                                          "reps": 8, "seed": 3}}))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.load(open(out))
+    assert 0 < report["n_nonconverged"] <= 8
+    assert capsys.readouterr().err == f"{report['n_nonconverged']} of 8 fits did not converge\n"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,12 @@ def test_cv_supports_bilevel_families(family, kwargs):
     assert isinstance(report, CVReport)
     assert len(report.grid) == 12
     assert np.all(np.isfinite(report.mean_cv_error))
+
+
+def test_nonconverged_fits_are_counted():
+    X, y, labels, _ = small_signal_problem(0)
+    design = build_design(X, y, labels)
+    pen = PenaltySpec("glasso", lam=0.0)
+    assert kfold_cv(design, pen, FAST, K=3, seed=1).n_nonconverged == 0
+    cut = kfold_cv(design, pen, replace(FAST, max_iter=1), K=3, seed=1)
+    assert 0 < cut.n_nonconverged <= len(cut.grid) * 4

@@ -116,8 +116,6 @@ def test_objective_round_trip_matches_weighted_norm_form():
     PenaltySpec("gmcp", lam=0.3, gamma=1.5),
     PenaltySpec("gscad", lam=0.3, gamma=3.7),
     PenaltySpec("gbridge", lam=0.3, gamma=0.5),
-    PenaltySpec("gmcp1", lam=0.3, gamma=2.7),
-    PenaltySpec("gscad1", lam=0.3, gamma=3.7),
     PenaltySpec("cmcp", lam=0.3, gamma_inner=2.2),
     PenaltySpec("sgl", lam=0.3, lam2=0.2),
 ], ids=lambda pen: pen.family)

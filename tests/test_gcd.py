@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpsel.bilevel import fit_lcd, fit_sparse_group_lasso
+from grpsel.bilevel import (
+    bridge_lambda_upper,
+    cmcp_lambda_max,
+    fit_lcd,
+    fit_sparse_group_lasso,
+    sgl_lambda_max,
+)
 from grpsel.design import GroupedDesign, build_design
 from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_path, kkt_check, lambda_grid, lambda_max
@@ -308,6 +314,69 @@ def test_fit_gcd_matches_every_group_reference(case, family, gamma):
             assert _same_float(got.max_descent_violation, ref.max_descent_violation,
                                ref.objective), where
         previous = ref.coef
+
+
+# Penalty levels for the bi-level comparison, as fractions of the top of each
+# family's grid and in warm-start order: the bridge path runs upward from
+# least squares, and its top level is a loose upper bound, so its fits are
+# nonzero only well below it.  The composite MCP levels avoid 0.2, where the
+# p>n fit takes ~600 cycles of slow per-coordinate updates.
+_BILEVEL_LEVELS = {
+    "gbridge": (0.02, 0.05, 0.1),
+    "cmcp": (0.7, 0.4, 0.25),
+    "sgl": (0.5, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BILEVEL_LEVELS))
+@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
+def test_bilevel_fits_match_separate_loop_reference(case, family):
+    from oracles import fit_lcd_reference, fit_sparse_group_lasso_reference
+
+    spec = _REFERENCE_DESIGNS[case]
+    beta = np.zeros(sum(spec["sizes"]))
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(
+        spec["n"], spec["sizes"], beta=beta, sigma=1.0, correlation=0.3,
+        seed=spec["seed"], orthonormalize=False,
+        weights=("pow", 0.5) if family == "gbridge" else "sqrt",
+    )
+    if family == "gbridge":
+        top = bridge_lambda_upper(design, PenaltySpec("gbridge", lam=0.0))
+    elif family == "cmcp":
+        top = cmcp_lambda_max(design)
+    else:
+        top = sgl_lambda_max(design)
+    # the stationarity residual is a difference of gradient entries and
+    # weights of about this size
+    scale = float(np.max(np.abs(design.X.T @ design.y))) / design.n
+    previous = None
+    for ratio in _BILEVEL_LEVELS[family]:
+        lam = ratio * top
+        starts = [None] if previous is None else [None, previous]
+        for init in starts:
+            if family == "sgl":
+                ref = fit_sparse_group_lasso_reference(design, lam, lam, init=init,
+                                                       check_descent=True)
+                got = fit_sparse_group_lasso(design, lam, lam, init=init,
+                                             check_descent=True)
+            else:
+                pen = PenaltySpec(family, lam=lam)
+                ref = fit_lcd_reference(design, pen, init=init, check_descent=True)
+                got = fit_lcd(design, pen, init=init, check_descent=True)
+            where = f"{case} {family} ratio={ratio} warm={init is not None}"
+            assert got.iterations == ref.iterations, where
+            assert got.converged == ref.converged, where
+            np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10,
+                                       err_msg=where)
+            assert _same_float(got.objective, ref.objective, 0.0), where
+            assert _same_float(got.kkt_max_violation, ref.kkt_max_violation, scale), where
+            # -inf when every group was frozen and nothing was updated
+            assert (got.max_descent_violation == ref.max_descent_violation
+                    or _same_float(got.max_descent_violation,
+                                   ref.max_descent_violation, ref.objective)), where
+        previous = ref.coef
+    assert np.any(previous), "the smallest level should give a nonzero fit"
 
 
 @settings(max_examples=60, deadline=None)

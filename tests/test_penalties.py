@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from grpsel.errors import DomainError, GammaOutOfRange, UnsupportedFamily
 from grpsel.penalties import (
     PenaltySpec,
-    hard_threshold,
-    hard_threshold_star,
     rho,
     rho_prime,
     soft_threshold,
@@ -17,7 +15,7 @@ from grpsel.penalties import (
     solve_single_group,
 )
 
-from oracles import rho_quadrature, single_group_oracle
+from oracles import hard_threshold, hard_threshold_star, rho_quadrature, single_group_oracle
 
 GROUP_FAMILIES = [("glasso", math.inf), ("gmcp", 2.7), ("gscad", 3.7)]
 
@@ -82,8 +80,7 @@ class TestSoftThresholdVec:
 
 class TestRho:
     @pytest.mark.parametrize("family,gamma", [("l1", None), ("mcp", 2.0),
-                                              ("scad", 3.7), ("bridge", 0.5),
-                                              ("capped_l1", 2.0)])
+                                              ("scad", 3.7), ("bridge", 0.5)])
     def test_zero_at_origin(self, family, gamma):
         assert rho(0.0, 1.3, gamma, family) == 0.0
 
@@ -112,14 +109,8 @@ class TestRho:
         with pytest.raises(DomainError):
             rho(-0.1, 1.0, 2.0, "mcp")
 
-    def test_capped_l1(self):
-        lam, gamma = 1.0, 3.0
-        assert rho(0.5, lam, gamma, "capped_l1") == 0.5
-        assert rho(100.0, lam, gamma, "capped_l1") == gamma * lam**2 / 2
-
     @pytest.mark.parametrize("family,gamma", [("l1", None), ("mcp", 2.0),
-                                              ("scad", 3.7), ("bridge", 0.5),
-                                              ("capped_l1", 2.0)])
+                                              ("scad", 3.7), ("bridge", 0.5)])
     def test_nondecreasing_and_concave(self, family, gamma):
         grid = np.linspace(0.0, 5.0, 200)
         vals = rho(grid, 0.8, gamma, family)
@@ -159,7 +150,7 @@ class TestInvariance:
     """Rescaling lam by sqrt(d) must equal rescaling the norm by sqrt(d)
     and the concavity by d, for the families where that identity holds."""
 
-    @pytest.mark.parametrize("family", ["mcp", "l1", "capped_l1"])
+    @pytest.mark.parametrize("family", ["mcp", "l1"])
     def test_holds_exactly_for_mcp_l1_capped(self, family):
         count = 0
         for t in np.linspace(0.05, 3.0, 28):

@@ -255,6 +255,7 @@ class TestMonteCarloTheorem1:
                                       seed=18)
         assert not report.condition_violated
         assert report.empirical_prob == 0.0
+        assert report.n_nonconverged == 0
         assert report.bound_holds
 
     def test_condition_violation_flagged_not_fatal(self):
