@@ -5,18 +5,20 @@ experiment for the 2-norm group MCP: the empirical frequency of the fitted
 model differing from the oracle least squares fit must stay below
 eta1 + eta2 whenever the conditions on (lam, gamma, signal, noise) hold.
 A negative control with the signal below gamma*lam is included to show the
-condition flags at work.
+condition flags at work.  Exits with the first nonzero ``verify-theory``
+exit status, after running every experiment.
 """
 
 import argparse
 import json
 import os
+import sys
 import tempfile
 
 from grpsel.cli import main as grpsel
 
 
-def run(out_dir: str, reps: int, seed: int) -> None:
+def run(out_dir: str, reps: int, seed: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     experiments = {
         "tail_bound": {"experiment": "tail-bound",
@@ -34,14 +36,17 @@ def run(out_dir: str, reps: int, seed: int) -> None:
         "irrepresentable": {"experiment": "irrepresentable",
                             "params": {"problems": 100, "seed": seed}},
     }
+    status = 0
     for name, config in experiments.items():
         cfg_path = os.path.join(tempfile.gettempdir(), f"grpsel_{name}.json")
         with open(cfg_path, "w") as handle:
             json.dump(config, handle)
         out = os.path.join(out_dir, name + ".json")
         print(f"--- {name} ---")
-        grpsel(["verify-theory", "--config", cfg_path, "--out", out])
+        code = grpsel(["verify-theory", "--config", cfg_path, "--out", out])
+        status = status or code
     print(f"reports written under {out_dir}/")
+    return status
 
 
 if __name__ == "__main__":
@@ -50,4 +55,4 @@ if __name__ == "__main__":
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    run(args.out, args.reps, args.seed)
+    sys.exit(run(args.out, args.reps, args.seed))

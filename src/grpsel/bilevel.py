@@ -197,13 +197,11 @@ def fit_sparse_group_lasso(
     exact block Lipschitz constant (largest eigenvalue of the block Gram,
     computed once) is followed by the two-stage proximal map.
     """
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("penalty levels must be nonnegative")
+    pen = PenaltySpec("sgl", lam=lam1, lam2=lam2)
     if design.orthonormalized:
         raise ValueError(
             "fit_sparse_group_lasso needs a design built with orthonormalize=False"
         )
-    pen = PenaltySpec("sgl", lam=lam1, lam2=lam2)
     n, X = design.n, design.X
     bounds = [(start, start + size) for start, size in design.groups]
     lips = [float(np.linalg.eigvalsh(X[:, a:e].T @ X[:, a:e] / n)[-1]) for a, e in bounds]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cv import kfold_cv
 from .design import build_design, group_norms
-from .errors import ConfigError, GrpselError, NonFiniteInput, ParseError
+from .errors import ConfigError, GammaOutOfRange, GrpselError, NonFiniteInput, ParseError
 from .paths import FAMILIES, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
@@ -172,7 +172,10 @@ def _parse_gammas(text):
         part = part.strip()
         if not part:
             continue
-        out.append(math.inf if part in ("inf", "Inf", "INF") else float(part))
+        try:
+            out.append(math.inf if part in ("inf", "Inf", "INF") else float(part))
+        except ValueError:
+            raise ConfigError(f"--gamma: cannot parse {part!r} as a number") from None
     if not out:
         raise ParseError("empty --gamma list")
     return out
@@ -181,12 +184,17 @@ def _parse_gammas(text):
 def _load_problem(args):
     """The command's gamma list, penalty template, column names and design."""
     gammas = _parse_gammas(args.gamma)
-    if args.penalty == "sgl":
-        pen = PenaltySpec("sgl", lam=0.0, lam2=args.lambda2 or 0.0)
-    else:
-        pen = PenaltySpec(args.penalty, lam=0.0)
-        if gammas:
-            pen = pen.with_gamma(gammas[0])
+    try:
+        if args.penalty == "sgl":
+            pen = PenaltySpec("sgl", lam=0.0, lam2=args.lambda2 or 0.0)
+        else:
+            pen = PenaltySpec(args.penalty, lam=0.0)
+            # every listed gamma is checked before any data is read
+            checked = [pen.with_gamma(g) for g in gammas or ()]
+            pen = checked[0] if checked else pen
+    except (ValueError, GammaOutOfRange) as exc:
+        flag = "--lambda2" if args.penalty == "sgl" else "--gamma"
+        raise ConfigError(f"bad {flag} value: {exc}") from None
     names, X = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     labels = read_groups_csv(args.groups, names)
@@ -196,9 +204,12 @@ def _load_problem(args):
 
 
 def _lambda_value(args, design, pen):
-    if args.lam != "max":
-        return float(args.lam)
-    return FAMILIES[pen.family].top(design, pen)
+    if args.lam == "max":
+        return FAMILIES[pen.family].top(design, pen)
+    try:
+        return pen.with_lam(float(args.lam)).lam
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambda value {args.lam!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

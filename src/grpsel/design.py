@@ -172,9 +172,8 @@ class GroupedDesign:
         if not np.isfinite(y_new).all():
             raise NonFiniteInput("response contains NaN or infinite entries")
         new = replace(self, y=y_new)
-        if "_block_cache" in self.__dict__:
-            # same factor tuple, so the cached block form stays valid
-            new.__dict__["_block_cache"] = self.__dict__["_block_cache"]
+        # same factor tuple: the block form is computed once and shared
+        new.__dict__["_block_cache"] = (self.U, self._blocks())
         return new
 
 

@@ -179,7 +179,8 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
         lam=pen.lam,
         gamma=None if sgl else pen.shape_param,
         lam2=pen.lam2 if sgl else None,
-        max_descent_violation=max_increase,
+        # no update noted (every group frozen) means no increase either
+        max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
         residual_drift=drift,
     )
 

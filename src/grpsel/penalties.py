@@ -55,9 +55,10 @@ class PenaltySpec:
     parameter (ignored by ``glasso`` and ``sgl``; ``math.inf`` is a valid
     sentinel for ``gmcp``/``gscad`` and routes them to the group LASSO
     kernel exactly).  ``lam2`` is the group-norm level of ``sgl``, with
-    ``lam`` serving as its coordinate-wise level.  ``gamma_inner`` is the
-    inner MCP concavity of ``cmcp``; the outer concavity is derived per
-    group as ``d_j * gamma_inner * lam / 2`` and never stored.
+    ``lam`` serving as its coordinate-wise level; both levels must be
+    finite and nonnegative.  ``gamma_inner`` is the inner MCP concavity of
+    ``cmcp``; the outer concavity is derived per group as
+    ``d_j * gamma_inner * lam / 2`` and never stored.
     """
 
     family: str
@@ -69,8 +70,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedFamily(f"unknown penalty family {self.family!r}")
-        if self.lam < 0 or self.lam2 < 0:
-            raise ValueError("penalty levels must be nonnegative")
+        if not (0 <= self.lam < math.inf and 0 <= self.lam2 < math.inf):
+            raise ValueError("penalty levels must be finite and nonnegative")
         if self.lam2 > 0 and self.family != "sgl":
             raise ValueError("lam2 applies to the sgl family only")
         if self.gamma is None:

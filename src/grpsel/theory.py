@@ -11,9 +11,11 @@ group subsets (sparse Riesz condition), at the price of stronger
 requirements on gamma and lam.
 """
 
+import inspect
 import itertools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,8 +37,9 @@ class OracleProblem:
     drawn as ``X @ true_coef + sigma * noise``.  Derived quantities:
     ``beta_star`` is the smallest size-adjusted signal norm
     ``min_j ||b_j|| / sqrt(d_j)`` over the support (inf when empty);
-    ``c_min`` is the smallest eigenvalue of the full Gram X'X/n, and
-    ``c1 <= c2`` bound the spectrum of the support-restricted Gram.
+    ``c_min`` is the smallest eigenvalue of the full Gram X'X/n,
+    ``c1 <= c2`` bound the spectrum of the support-restricted Gram, and
+    ``support_cols`` lists the internal columns of the support groups.
     """
 
     design: GroupedDesign
@@ -47,15 +50,7 @@ class OracleProblem:
     c_min: float
     c1: float
     c2: float
-
-    @property
-    def support_cols(self) -> np.ndarray:
-        idx = [
-            np.arange(s, s + d)
-            for j, (s, d) in enumerate(self.design.groups)
-            if j in self.support
-        ]
-        return np.concatenate(idx) if idx else np.array([], dtype=int)
+    support_cols: np.ndarray
 
     def d_min_support(self) -> float:
         dims = self.design.dims
@@ -75,24 +70,14 @@ def make_oracle_problem(design: GroupedDesign, true_coef, sigma: float) -> Oracl
     true_coef = np.asarray(true_coef, dtype=float).ravel()
     if true_coef.shape != (design.p,):
         raise ValueError("true_coef length does not match the design")
-    support = tuple(
-        j
-        for j in range(design.J)
-        if np.linalg.norm(true_coef[design.group_slice(j)]) > 0
+    norms = design.group_l2(true_coef)
+    support = tuple(j for j in range(design.J) if norms[j] > 0)
+    beta_star = min(
+        (float(norms[j]) / math.sqrt(design.dims[j]) for j in support), default=math.inf
     )
-    dims = design.dims
-    if support:
-        beta_star = min(
-            float(np.linalg.norm(true_coef[design.group_slice(j)])) / math.sqrt(dims[j])
-            for j in support
-        )
-    else:
-        beta_star = math.inf
     sigma_full = design.X.T @ design.X / design.n
     c_min = float(np.linalg.eigvalsh(sigma_full)[0])
-    cols = np.concatenate(
-        [np.arange(s, s + d) for j, (s, d) in enumerate(design.groups) if j in support]
-    ) if support else np.array([], dtype=int)
+    cols = _subset_cols(design.groups, support)
     if cols.size:
         eigs = np.linalg.eigvalsh(sigma_full[np.ix_(cols, cols)])
         c1, c2 = float(eigs[0]), float(eigs[-1])
@@ -107,6 +92,7 @@ def make_oracle_problem(design: GroupedDesign, true_coef, sigma: float) -> Oracl
         c_min=c_min,
         c1=c1,
         c2=c2,
+        support_cols=cols,
     )
 
 
@@ -223,18 +209,24 @@ def rate_constants(problem: OracleProblem, c_sup: float = None):
     return lam_n, tau_n, lam_n_star
 
 
-def _group_subsets(groups, max_dim=None, base=()):
-    """All group index subsets (optionally capped by total dimension)."""
+def _group_subsets(groups, max_dim=None, base=(), extra=None):
+    """Group index subsets that add at least one group to ``base``.
+
+    Optionally capped by total dimension (``max_dim``), or restricted to the
+    subsets whose groups outside ``base`` hold exactly ``extra`` columns.
+    """
     dims = [d for _, d in groups]
     candidates = [j for j in range(len(groups)) if j not in base]
     if 2 ** len(candidates) > SUBSET_GUARD:
         raise TooLarge(
             f"{2 ** len(candidates)} candidate subsets exceed the enumeration guard"
         )
-    for r in range(len(candidates) + 1):
+    for r in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, r):
             subset = tuple(sorted(base + combo))
             if max_dim is not None and sum(dims[j] for j in subset) > max_dim:
+                continue
+            if extra is not None and sum(dims[j] for j in combo) != extra:
                 continue
             yield subset
 
@@ -257,8 +249,6 @@ def src_spectrum(X: np.ndarray, groups, d_star: int):
     c_star, c_sup = math.inf, -math.inf
     found = False
     for subset in _group_subsets(groups, max_dim=d_star):
-        if not subset:
-            continue
         cols = _subset_cols(groups, subset)
         eigs = np.linalg.eigvalsh(X[:, cols].T @ X[:, cols] / n)
         c_star = min(c_star, float(eigs[0]))
@@ -323,7 +313,6 @@ def zeta_norm(v: np.ndarray, m: int, B, X: np.ndarray, groups) -> float:
     v = np.asarray(v, dtype=float).ravel()
     n = X.shape[0]
     base = tuple(sorted(B))
-    dims = [d for _, d in groups]
 
     def project(subset):
         if not subset:
@@ -334,10 +323,7 @@ def zeta_norm(v: np.ndarray, m: int, B, X: np.ndarray, groups) -> float:
 
     pb_v = project(base)
     worst = None
-    for subset in _group_subsets(groups, base=base):
-        extra = sum(dims[j] for j in subset if j not in base)
-        if extra != m:
-            continue
+    for subset in _group_subsets(groups, base=base, extra=m):
         val = float(np.linalg.norm(project(subset) - pb_v)) / math.sqrt(m * n)
         worst = val if worst is None else max(worst, val)
     if worst is None:
@@ -477,6 +463,14 @@ def monte_carlo_theorem1(
     )
 
 
+def _random_design(n, sizes, correlation, rng) -> GroupedDesign:
+    """An orthonormalized equicorrelated Gaussian design with the given group sizes."""
+    sizes = np.asarray(sizes, dtype=int)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    X = equicorrelated_columns(n, int(sizes.sum()), correlation, rng)
+    return build_design(X, np.zeros(n), labels, orthonormalize=True)
+
+
 def random_problem(
     n: int,
     group_sizes,
@@ -491,11 +485,7 @@ def random_problem(
     Groups are orthonormalized, so each support group's size-adjusted norm
     is exactly ``beta_star`` on the fitting scale.
     """
-    sizes = np.asarray(group_sizes, dtype=int)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    rng = np.random.default_rng(seed)
-    X = equicorrelated_columns(n, int(sizes.sum()), correlation, rng)
-    design = build_design(X, np.zeros(n), labels, orthonormalize=True)
+    design = _random_design(n, group_sizes, correlation, np.random.default_rng(seed))
     coef = np.zeros(design.p)
     for j in support:
         coef[design.group_slice(j)] = beta_star
@@ -509,190 +499,149 @@ def _qr_project(X, cols, v):
     return q @ (q.T @ v)
 
 
+# The experiments of ``run_experiment`` take their parameters as keywords:
+# a config value is converted to the annotated type, the default fills in.
+
+
+def _check_groups(sizes, **members):
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"group_sizes must be a nonempty list of positive sizes, got {sizes}")
+    for key, js in members.items():
+        if len(set(js)) < len(js) or not all(0 <= j < len(sizes) for j in js):
+            raise ConfigError(f"{key} must list distinct group indices below {len(sizes)}, "
+                              f"got {js}")
+
+
+def _verdict(ok, violated=False) -> dict:
+    """The ``status`` and ``pass`` entries; a violated hypothesis is neither."""
+    if violated:
+        return {"status": "CONDITION_VIOLATED", "pass": None}
+    return {"status": "PASS" if ok else "FAIL", "pass": ok}
+
+
+def _tail_bound(seed: int = 0, t_values: list[float] = (2.0, 2.5, 4.0),
+                k_values: list[int] = (1, 3, 5, 10), draws: int = 100_000) -> dict:
+    rng = np.random.default_rng(seed)
+    cases = []
+    for t in t_values:
+        for k in k_values:
+            bound = chisq_tail_bound(t, k)
+            emp = float(np.mean(rng.chisquare(k, draws) >= k * t))
+            status = "PASS" if emp <= bound else "FAIL"
+            cases.append({"t": t, "k": k, "bound": bound, "empirical": emp, "status": status})
+    return {"draws": draws, "cases": cases,
+            "pass": all(c["status"] == "PASS" for c in cases)}
+
+
+def _theorem1(seed: int = 0, n: int = 200, group_sizes: list[int] = (2,) * 10,
+              support: list[int] = (0, 1), beta_star: float = 2.0, sigma: float = 1.0,
+              correlation: float = 0.0, lam: float = 0.4, gamma: float = 3.0,
+              reps: int = 500, n_starts: int = 1) -> dict:
+    _check_groups(group_sizes, support=support)
+    problem = random_problem(n, group_sizes, support, beta_star, sigma, correlation, seed)
+    report = monte_carlo_theorem1(problem, lam, gamma, reps=reps, seed=seed + 1,
+                                  n_starts=n_starts)
+    # every report field but eta3 (zero here), the fit point and the replicate seed
+    fields = {k: v for k, v in asdict(report).items()
+              if k not in ("eta3", "lam", "gamma", "seed")}
+    return {**fields, **_verdict(report.bound_holds, report.condition_violated)}
+
+
+def _src(seed: int = 0, n: int = 30, group_sizes: list[int] = (2, 2, 2, 2),
+         d_star: int = None, correlation: float = 0.0) -> dict:
+    _check_groups(group_sizes)
+    design = _random_design(n, group_sizes, correlation, np.random.default_rng(seed))
+    if d_star is None:
+        d_star = design.p
+    c_star, c_sup = src_spectrum(design.X, design.groups, d_star)
+    # independent route: singular values per enumerated subset
+    lo, hi = math.inf, -math.inf
+    for subset in _group_subsets(design.groups, max_dim=d_star):
+        cols = _subset_cols(design.groups, subset)
+        sv = np.linalg.svd(design.X[:, cols] / math.sqrt(n), compute_uv=False)
+        lo, hi = min(lo, float(sv[-1] ** 2)), max(hi, float(sv[0] ** 2))
+    err = max(abs(c_star - lo), abs(c_sup - hi))
+    return {"c_star": c_star, "c_sup": c_sup, "cross_check_error": err,
+            **_verdict(err <= 1e-10 and c_star > 0)}
+
+
+def _irrepresentable(seed: int = 0, n: int = 50, group_sizes: list[int] = (2,) * 5,
+                     support: list[int] = (0, 1), gamma: float = 3.0,
+                     problems: int = 100) -> dict:
+    _check_groups(group_sizes, support=support)
+    worst = 0.0
+    for i in range(problems):
+        prob = random_problem(n, group_sizes, support, beta_star=2.0, sigma=1.0, seed=seed + i)
+        lam = 0.9 * prob.beta_star / gamma  # keeps beta_star > gamma*lam
+        design = prob.design
+        worst = max(worst, irrepresentable_lhs(design.X, design.groups, prob.support,
+                                               prob.true_coef, lam, gamma))
+    return {"problems": problems, "worst_lhs": worst, **_verdict(worst <= 1e-12)}
+
+
+def _zeta(seed: int = 0, n: int = 30, group_sizes: list[int] = (2, 2, 2, 2), m: int = 2,
+          base: list[int] = (0,)) -> dict:
+    _check_groups(group_sizes, base=base)
+    base = tuple(base)
+    rng = np.random.default_rng(seed)
+    design = _random_design(n, group_sizes, 0.0, rng)
+    v = rng.standard_normal(n)
+    value = zeta_norm(v, m, base, design.X, design.groups)
+    # independent route: QR-based projections over the same subsets
+    pb = _qr_project(design.X, _subset_cols(design.groups, base), v)
+    ref = -math.inf
+    for subset in _group_subsets(design.groups, base=base, extra=m):
+        pa = _qr_project(design.X, _subset_cols(design.groups, subset), v)
+        ref = max(ref, float(np.linalg.norm(pa - pb)) / math.sqrt(m * n))
+    err = abs(value - ref)
+    return {"value": value, "cross_check_error": err, **_verdict(err <= 1e-10)}
+
+
+EXPERIMENTS = {
+    "tail-bound": _tail_bound,
+    "theorem1": _theorem1,
+    "src": _src,
+    "irrepresentable": _irrepresentable,
+    "zeta": _zeta,
+}
+
+
+def _convert(name, key, value, kind):
+    """A config value as the annotated type: ``int``, ``float`` or ``list[...]``."""
+    item = typing.get_args(kind)
+    try:
+        if not item:
+            return kind(value)
+        if isinstance(value, (list, tuple)):
+            return [item[0](v) for v in value]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name!r} parameter {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def run_experiment(config: dict) -> dict:
     """Run a named theory experiment and return a structured report.
 
-    Known experiments: ``tail-bound``, ``theorem1``, ``src``,
-    ``irrepresentable``, ``zeta``.  Reports carry one PASS/FAIL entry per
-    checked invariant plus all numeric values; condition violations in
+    Known experiments are the keys of ``EXPERIMENTS``: ``tail-bound``,
+    ``theorem1``, ``src``, ``irrepresentable``, ``zeta``.  An unknown name,
+    an unknown parameter or a value of the wrong type raises ``ConfigError``
+    before anything runs.  Reports carry one PASS/FAIL entry per checked
+    invariant plus all numeric values; condition violations in
     ``theorem1`` are reported as such rather than failed.
     """
-    if "experiment" not in config:
+    if not isinstance(config, dict) or "experiment" not in config:
         raise ConfigError("config needs an 'experiment' key")
     name = config["experiment"]
-    params = dict(config.get("params", {}))
-    seed = int(params.pop("seed", 0))
-
-    if name == "tail-bound":
-        t_values = params.pop("t_values", [2.0, 2.5, 4.0])
-        k_values = params.pop("k_values", [1, 3, 5, 10])
-        draws = int(params.pop("draws", 100_000))
-        _reject_unknown(name, params)
-        rng = np.random.default_rng(seed)
-        cases = []
-        for t in t_values:
-            for k in k_values:
-                bound = chisq_tail_bound(float(t), int(k))
-                emp = float(np.mean(rng.chisquare(int(k), draws) >= int(k) * float(t)))
-                cases.append(
-                    {
-                        "t": float(t),
-                        "k": int(k),
-                        "bound": bound,
-                        "empirical": emp,
-                        "status": "PASS" if emp <= bound else "FAIL",
-                    }
-                )
-        return {
-            "experiment": name,
-            "seed": seed,
-            "draws": draws,
-            "cases": cases,
-            "pass": all(c["status"] == "PASS" for c in cases),
-        }
-
-    if name == "theorem1":
-        problem = random_problem(
-            n=int(params.pop("n", 200)),
-            group_sizes=params.pop("group_sizes", [2] * 10),
-            support=params.pop("support", [0, 1]),
-            beta_star=float(params.pop("beta_star", 2.0)),
-            sigma=float(params.pop("sigma", 1.0)),
-            correlation=float(params.pop("correlation", 0.0)),
-            seed=seed,
-        )
-        report = monte_carlo_theorem1(
-            problem,
-            lam=float(params.pop("lam", 0.4)),
-            gamma=float(params.pop("gamma", 3.0)),
-            reps=int(params.pop("reps", 500)),
-            seed=seed + 1,
-            n_starts=int(params.pop("n_starts", 1)),
-        )
-        _reject_unknown(name, params)
-        if report.condition_violated:
-            status = "CONDITION_VIOLATED"
-        else:
-            status = "PASS" if report.bound_holds else "FAIL"
-        return {
-            "experiment": name,
-            "seed": seed,
-            "eta1": report.eta1,
-            "eta2": report.eta2,
-            "bound_total": report.bound_total,
-            "empirical_prob": report.empirical_prob,
-            "mismatches": report.mismatches,
-            "n_nonconverged": report.n_nonconverged,
-            "reps": report.reps,
-            "ci99_margin": report.ci99_margin,
-            "conditions": report.conditions,
-            "condition_values": report.condition_values,
-            "generator": report.generator,
-            "status": status,
-            "pass": None if status == "CONDITION_VIOLATED" else status == "PASS",
-        }
-
-    if name == "src":
-        n = int(params.pop("n", 30))
-        sizes = np.asarray(params.pop("group_sizes", [2, 2, 2, 2]), dtype=int)
-        d_star = int(params.pop("d_star", int(sizes.sum())))
-        correlation = float(params.pop("correlation", 0.0))
-        _reject_unknown(name, params)
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        rng = np.random.default_rng(seed)
-        X = equicorrelated_columns(n, int(sizes.sum()), correlation, rng)
-        design = build_design(X, np.zeros(n), labels, orthonormalize=True)
-        c_star, c_sup = src_spectrum(design.X, design.groups, d_star)
-        # independent route: singular values per enumerated subset
-        lo, hi = math.inf, -math.inf
-        for subset in _group_subsets(design.groups, max_dim=d_star):
-            if not subset:
-                continue
-            cols = _subset_cols(design.groups, subset)
-            sv = np.linalg.svd(design.X[:, cols] / math.sqrt(n), compute_uv=False)
-            lo, hi = min(lo, float(sv[-1] ** 2)), max(hi, float(sv[0] ** 2))
-        err = max(abs(c_star - lo), abs(c_sup - hi))
-        ok = err <= 1e-10 and c_star > 0
-        return {
-            "experiment": name,
-            "seed": seed,
-            "c_star": c_star,
-            "c_sup": c_sup,
-            "cross_check_error": err,
-            "status": "PASS" if ok else "FAIL",
-            "pass": ok,
-        }
-
-    if name == "irrepresentable":
-        n = int(params.pop("n", 50))
-        sizes = params.pop("group_sizes", [2] * 5)
-        support = params.pop("support", [0, 1])
-        gamma = float(params.pop("gamma", 3.0))
-        problems = int(params.pop("problems", 100))
-        _reject_unknown(name, params)
-        worst = 0.0
-        for i in range(problems):
-            prob = random_problem(
-                n, sizes, support, beta_star=2.0, sigma=1.0, seed=seed + i
-            )
-            lam = 0.9 * prob.beta_star / gamma  # keeps beta_star > gamma*lam
-            worst = max(
-                worst,
-                irrepresentable_lhs(
-                    prob.design.X,
-                    prob.design.groups,
-                    prob.support,
-                    prob.true_coef,
-                    lam,
-                    gamma,
-                ),
-            )
-        ok = worst <= 1e-12
-        return {
-            "experiment": name,
-            "seed": seed,
-            "problems": problems,
-            "worst_lhs": worst,
-            "status": "PASS" if ok else "FAIL",
-            "pass": ok,
-        }
-
-    if name == "zeta":
-        n = int(params.pop("n", 30))
-        sizes = np.asarray(params.pop("group_sizes", [2, 2, 2, 2]), dtype=int)
-        m = int(params.pop("m", 2))
-        base = tuple(params.pop("base", [0]))
-        _reject_unknown(name, params)
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        rng = np.random.default_rng(seed)
-        X = equicorrelated_columns(n, int(sizes.sum()), 0.0, rng)
-        design = build_design(X, np.zeros(n), labels, orthonormalize=True)
-        v = rng.standard_normal(n)
-        value = zeta_norm(v, m, base, design.X, design.groups)
-        # independent route: QR-based projections over the same subsets
-        dims = [d for _, d in design.groups]
-        pb = _qr_project(design.X, _subset_cols(design.groups, base), v)
-        ref = -math.inf
-        for subset in _group_subsets(design.groups, base=base):
-            extra = sum(dims[j] for j in subset if j not in base)
-            if extra != m:
-                continue
-            pa = _qr_project(design.X, _subset_cols(design.groups, subset), v)
-            ref = max(ref, float(np.linalg.norm(pa - pb)) / math.sqrt(m * n))
-        err = abs(value - ref)
-        ok = err <= 1e-10
-        return {
-            "experiment": name,
-            "seed": seed,
-            "value": value,
-            "cross_check_error": err,
-            "status": "PASS" if ok else "FAIL",
-            "pass": ok,
-        }
-
-    raise ConfigError(f"unknown experiment {name!r}")
-
-
-def _reject_unknown(name, params):
-    if params:
-        raise ConfigError(f"unknown parameters for {name!r}: {sorted(params)}")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"'params' must be an object, got {params!r}")
+    run = EXPERIMENTS[name]
+    signature = inspect.signature(run).parameters
+    unknown = sorted(set(params) - set(signature))
+    if unknown:
+        raise ConfigError(f"unknown parameters for {name!r}: {unknown}")
+    kwargs = {k: _convert(name, k, v, signature[k].annotation) for k, v in params.items()}
+    seed = kwargs.get("seed", signature["seed"].default)
+    return {"experiment": name, "seed": seed, **run(**kwargs)}

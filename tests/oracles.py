@@ -476,7 +476,8 @@ def fit_lcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
         kkt_max_violation=lcd_stationarity_reference(design, pen, b, frozen),
         lam=pen.lam,
         gamma=pen.shape_param,
-        max_descent_violation=max_increase,
+        # no update noted (every group frozen) means no increase either
+        max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
     )
 
 

@@ -268,3 +268,13 @@ class TestSparseGroupLasso:
                                     orthonormalize=False)
         with pytest.raises(ValueError):
             fit_sparse_group_lasso(design, -0.1, 0.0)
+
+
+def test_descent_check_without_updates_reports_zero():
+    # a bridge fit from zero freezes every group, so no update is made: the
+    # largest objective increase is 0.0, as for a gcd fit that skips all groups
+    design, _ = gaussian_design(40, [2, 3], sigma=1.0, seed=16, orthonormalize=False)
+    fit = fit_lcd(design, PenaltySpec("gbridge", lam=0.1), init=np.zeros(design.p),
+                  check_descent=True)
+    assert not np.any(fit.coef)
+    assert fit.max_descent_violation == 0.0

@@ -288,3 +288,64 @@ def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypa
     report = json.load(open(out))
     assert 0 < report["n_nonconverged"] <= 8
     assert capsys.readouterr().err == f"{report['n_nonconverged']} of 8 fits did not converge\n"
+
+
+@pytest.mark.parametrize("config", [
+    {"experiment": "theorem1", "params": {"group_sizes": 3}},
+    {"experiment": "theorem1", "params": [1]},
+    {"experiment": "theorem1", "params": {"reps": "abc"}},
+    {"experiment": "theorem1", "params": {"support": [12]}},
+    {"experiment": "theorem1", "params": {"support": [-1]}},
+    {"experiment": "irrepresentable", "params": {"support": [1, 1]}},
+    {"experiment": "src", "params": {"group_sizes": [2, 0]}},
+    {"experiment": "zeta", "params": {"base": [4]}},
+    {"experiment": "tail-bound", "params": {"k_values": [1, "two"]}},
+    3,
+], ids=["sizes_not_a_list", "params_not_an_object", "reps_not_an_integer",
+        "support_out_of_range", "support_negative", "support_repeated",
+        "empty_group", "base_out_of_range", "k_not_an_integer", "config_not_an_object"])
+def test_malformed_theory_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_theorem1_unknown_key_raises_before_any_replicate(tmp_path, capsys, monkeypatch):
+    from grpsel import theory
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before the config was checked")
+
+    monkeypatch.setattr(theory, "monte_carlo_theorem1", no_replicates)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1",
+                               "params": {"reps": 5, "bogus": 1}}))
+    assert main(["verify-theory", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("fit", ["--penalty", "gmcp", "--lambda", "abc"]),
+    ("fit", ["--penalty", "gmcp", "--lambda", "-1"]),
+    ("fit", ["--penalty", "gmcp", "--lambda", "nan"]),
+    ("fit", ["--penalty", "gmcp", "--lambda", "inf"]),
+    ("fit", ["--penalty", "gmcp", "--gamma", "x", "--lambda", "0.1"]),
+    ("fit", ["--penalty", "gmcp", "--gamma", "0.5", "--lambda", "0.1"]),
+    ("fit", ["--penalty", "gbridge", "--gamma", "2", "--lambda", "0.1"]),
+    ("fit", ["--penalty", "sgl", "--lambda2", "-1", "--lambda", "0.1"]),
+    ("fit", ["--penalty", "sgl", "--lambda2", "nan", "--lambda", "0.1"]),
+    ("path", ["--penalty", "gmcp", "--gamma", "2.7,0.5"]),
+    ("path", ["--penalty", "sgl", "--lambda2", "inf"]),
+    ("cv", ["--penalty", "gscad", "--gamma", "inf,1.5"]),
+], ids=["lambda_abc", "lambda_negative", "lambda_nan", "lambda_inf", "gamma_x",
+        "gmcp_gamma_0.5", "gbridge_gamma_2", "lambda2_negative", "lambda2_nan",
+        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma"])
+def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags):
+    code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.glob("o*")) == []

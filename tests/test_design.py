@@ -256,3 +256,13 @@ def test_with_response_swaps_y_exactly():
     y_new[4] = np.nan
     with pytest.raises(NonFiniteInput):
         design.with_response(y_new)
+
+
+def test_with_response_shares_block_factors():
+    # a Monte Carlo replicate reuses the factor inverses of its parent design
+    X, y, labels, _ = gaussian_problem(30, [2, 3], seed=17)
+    design = build_design(X, y, labels)
+    copy = design.with_response(np.ones(30))
+    assert copy._blocks() is design._blocks()
+    coef = np.arange(5.0)
+    assert np.all(copy.back_transform(coef) == design.back_transform(coef))

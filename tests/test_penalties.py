@@ -43,6 +43,15 @@ class TestPenaltySpec:
         with pytest.raises(ValueError):
             PenaltySpec("glasso", -0.1)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_levels_rejected(self, level):
+        with pytest.raises(ValueError):
+            PenaltySpec("gmcp", level)
+        with pytest.raises(ValueError):
+            PenaltySpec("sgl", 0.1, lam2=level)
+        with pytest.raises(ValueError):
+            PenaltySpec("sgl", 0.1).with_lam(level)
+
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamily):
             PenaltySpec("elastic", 0.1)

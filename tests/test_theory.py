@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -339,3 +341,32 @@ def test_make_oracle_problem_derived_quantities():
     assert problem.c_min <= problem.c1 <= problem.c2
     assert problem.d_min_support() == 2
     assert problem.d_min_null() == 3
+
+
+def _assert_same_report(got, ref, where):
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(ref), where
+        for key in ref:
+            _assert_same_report(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), where
+        for i, (g, r) in enumerate(zip(got, ref)):
+            _assert_same_report(g, r, f"{where}[{i}]")
+    elif isinstance(ref, float):
+        assert type(got) is float, where
+        assert got == ref or abs(got - ref) <= 1e-12 * abs(ref), (where, got, ref)
+    else:
+        assert type(got) is type(ref) and got == ref, (where, got, ref)
+
+
+_PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "theory_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_experiment_reports_match_pinned_values(case):
+    # the reports of every experiment, at its defaults and with its other
+    # parameters set, as written by the per-branch implementation; a JSON
+    # round trip gives the types the verify-theory report file carries
+    config, ref = _PINNED[case]["config"], _PINNED[case]["report"]
+    got = json.loads(json.dumps(run_experiment(config)))
+    _assert_same_report(got, ref, case)
