@@ -6,7 +6,7 @@ model differing from the oracle least squares fit must stay below
 eta1 + eta2 whenever the conditions on (lam, gamma, signal, noise) hold.
 A negative control with the signal below gamma*lam is included to show the
 condition flags at work.  Exits with the first nonzero ``verify-theory``
-exit status, after running every experiment.
+exit status (3 when a report says FAIL), after running every experiment.
 """
 
 import argparse

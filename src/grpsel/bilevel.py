@@ -9,7 +9,17 @@ survive the mapping back to the caller's coordinates:
   per-coordinate MCPs).  Each coordinate update replaces the penalty by its
   tangent line at the current iterate, which majorizes the concave penalty,
   and solves the resulting one-dimensional LASSO with the soft-threshold
-  operator.  The exact objective therefore never increases.
+  operator.  The exact objective therefore never increases.  The sweep
+  uses the covariance updates of Friedman, Hastie & Tibshirani (2010,
+  JSS 33(1)): per group visit one product ``c = X_j'r/n``, then for each
+  coordinate in order ``z_k = c_k - sum_l G_kl * diff_l + b_k`` over the
+  coordinates already moved in the visit (``G = X_j'X_j/n``, formed once
+  per fit), and one ``r -= X_j @ diff`` at the end.  The tangent slopes are
+  computed in Python floats with the formulas and order of operations of
+  ``_mcp``/``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes
+  its scalar path, so the iterates are those of the per-coordinate loop up
+  to rounding.  The pending moves reach the residual before every
+  ``note()`` (with ``check_descent``) and before a bridge group is frozen.
 
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
@@ -53,7 +63,8 @@ def composite_threshold(beta_group: np.ndarray, k: int, lam: float,
     ``d * gamma_inner * lam / 2``, so the outer penalty saturates exactly
     when every coordinate's inner penalty does.  At an all-zero group this
     is lam**2, and it vanishes as soon as every |beta| in the group reaches
-    gamma_inner * lam.
+    gamma_inner * lam.  ``fit_lcd`` computes the same product in Python
+    floats inside its sweep and does not call this function.
     """
     beta_group = np.asarray(beta_group, dtype=float)
     if not 0 <= k < beta_group.size:
@@ -101,9 +112,10 @@ def fit_lcd(
             "fit_lcd needs a design built with orthonormalize=False; "
             "orthonormalization does not preserve coordinate-wise sparsity"
         )
-    n, X, cj = design.n, design.X, design.cj
+    n, X = design.n, design.X
     lam, cmcp = pen.lam, pen.family == "cmcp"
     bounds = [(start, start + size) for start, size in design.groups]
+    grams = [(X[:, a:e].T @ X[:, a:e] / n).tolist() for a, e in bounds]
     freezing = pen.family == "gbridge" and lam > 0
     frozen = np.zeros(design.J, dtype=bool)
     if pen.family == "gbridge":
@@ -111,37 +123,84 @@ def fit_lcd(
         if freezing:
             frozen = design.group_sums(np.abs(init)) < BRIDGE_FREEZE_TOL
             init[np.repeat(frozen, design.dims)] = 0.0
+    if cmcp and lam > 0:
+        gi = pen.gamma_inner
+        gil, two_gi, cap = gi * lam, 2 * gi, gi * lam**2 / 2
+        # gamma*lam of each group's outer MCP, whose gamma is d_j*gamma_inner*lam/2
+        outer_gl = [size * gi * lam / 2 * lam for _, size in design.groups]
+    elif freezing:
+        gm1 = pen.gamma - 1
+        scales = [pen.gamma * v for v in (design.cj * lam).tolist()]
+
+    def group_factor(j, bj):
+        # cmcp: the outer MCP slope at the summed inner MCPs; gbridge: the
+        # 1-norm.  Same formulas and order as _mcp/_mcp_prime and the numpy
+        # sums, which add fewer than eight values left to right.
+        total = 0.0
+        if cmcp:
+            for v in bj:
+                t = abs(v)
+                total += lam * t - t * t / two_gi if t <= gil else cap
+            return lam * max(1.0 - total / outer_gl[j], 0.0)
+        for v in bj:
+            total += abs(v)
+        return total
+
+    def settle(b, r, a, Xj, bj, diffs, moved):
+        # apply the pending coordinate moves to the residual and the coefficients
+        r -= Xj @ diffs
+        b[a:a + len(bj)] = bj
+        for k in moved:
+            diffs[k] = 0.0
+        moved.clear()
 
     def sweep(b, r, note):
         delta = 0.0
         for j, (a, e) in enumerate(bounds):
             if frozen[j]:
                 continue
-            for k in range(a, e):
-                col = X[:, k]
+            Xj, G = X[:, a:e], grams[j]
+            bj = b[a:e].tolist()
+            c = (Xj.T @ r / n).tolist()
+            diffs, moved = [0.0] * (e - a), []  # moves not yet applied to r
+            factor = group_factor(j, bj) if lam else 0.0
+            for k, Gk in enumerate(G):
                 # the slope of the penalty's tangent line in this coordinate
-                if lam == 0:
+                if not lam:
                     w = 0.0
                 elif cmcp:
-                    w = composite_threshold(b[a:e], k - a, lam, pen.gamma_inner)
+                    w = factor * (lam * max(1.0 - abs(bj[k]) / gil, 0.0))
                 else:
-                    w = rho_prime(float(np.abs(b[a:e]).sum()), cj[j] * lam, pen.gamma, "bridge")
-                z = col @ r / n + b[k]
-                new = float(soft_threshold(z, w))
-                diff = new - b[k]
+                    w = scales[j] * factor ** gm1
+                # z = X_k'r/n + b_k at the residual with the pending moves applied
+                s = 0.0
+                for m in moved:
+                    s += Gk[m] * diffs[m]
+                new = soft_threshold(c[k] - s + bj[k], w)
+                diff = new - bj[k]
                 if diff != 0.0:
-                    r -= col * diff
-                    b[k] = new
+                    bj[k] = new
+                    diffs[k] = diff
+                    moved.append(k)
                     delta = max(delta, abs(diff))
+                    if lam:
+                        factor = group_factor(j, bj)
                 if note:
+                    if moved:
+                        settle(b, r, a, Xj, bj, diffs, moved)
+                        c = (Xj.T @ r / n).tolist()
                     note()
-                if freezing and np.abs(b[a:e]).sum() < BRIDGE_FREEZE_TOL:
+                if freezing and factor < BRIDGE_FREEZE_TOL:
                     # the tangent slope diverges at zero: pin the group there
-                    if np.any(b[a:e]):
-                        r += X[:, a:e] @ b[a:e]
+                    if moved:
+                        settle(b, r, a, Xj, bj, diffs, moved)
+                    if any(bj):
+                        r += Xj @ b[a:e]
                         b[a:e] = 0.0
                     frozen[j] = True
                     break
+            if moved:
+                settle(b, r, a, Xj, bj, diffs, moved)
         return delta
 
     return _descend(design, pen, init, sweep,

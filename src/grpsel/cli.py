@@ -8,7 +8,7 @@ predictors with column names, a single-column response, and a two-column
 (column_name, group_id) group map.  All outputs are deterministic given
 the inputs, flags and seed; files are written atomically
 (write-temp-then-rename).  Exit status: 0 on success, 2 on bad inputs or
-configs, 1 on solver failures.
+configs, 1 on solver failures, 3 when a ``verify-theory`` report says FAIL.
 """
 
 import argparse
@@ -28,6 +28,10 @@ from .paths import FAMILIES, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
+
+# verify-theory's status for a report that says FAIL (PASS and
+# CONDITION_VIOLATED exit 0); distinct from 1 and 2
+EXIT_FAIL = 3
 
 
 def _fmt(x) -> str:
@@ -388,7 +392,7 @@ def cmd_verify_theory(args) -> int:
                   f"empirical={_fmt(case['empirical'])} bound={_fmt(case['bound'])}")
     status = report.get("status", "PASS" if report.get("pass") else "FAIL")
     print(f"{status}: {report['experiment']}")
-    return 0
+    return EXIT_FAIL if status == "FAIL" else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

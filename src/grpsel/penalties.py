@@ -44,7 +44,7 @@ _DEFAULT_GAMMA = {
 
 # Ties at machine precision collapse to zero: a shrink factor this close to
 # the boundary cannot be distinguished from an exact tie after one division.
-_TIE_EPS = 4 * np.finfo(float).eps
+_TIE_EPS = 4 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,15 @@ def soft_threshold(z, t):
 
     Ties at machine precision collapse to zero (same convention as the
     multivariate operator), so penalty levels computed to sit exactly at a
-    boundary yield exact zeros.
+    boundary yield exact zeros.  A Python float ``z`` takes a scalar path
+    that returns a float equal, bit for bit, to the array path's value.
     """
+    if type(z) is float:
+        shrunk = abs(z) - t
+        if shrunk <= _TIE_EPS * t:
+            shrunk = 0.0
+        # np.sign is 0.0 at both signed zeros
+        return shrunk if z > 0 else -shrunk if z < 0 else 0.0 * shrunk
     z = np.asarray(z, dtype=float)
     shrunk = np.abs(z) - t
     shrunk = np.where(shrunk <= _TIE_EPS * t, 0.0, shrunk)

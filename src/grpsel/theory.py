@@ -619,15 +619,41 @@ def _convert(name, key, value, kind):
     raise ConfigError(f"{name!r} parameter {key!r} must be {kind.__name__}, got {value!r}")
 
 
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# The range of each numeric parameter (of every item, for a list).
+_RANGES = {
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "n": (lambda v: v >= 2, "at least 2"),
+    **dict.fromkeys(("reps", "draws", "problems", "n_starts", "d_star", "m", "k_values"),
+                    _AT_LEAST_1),
+    "t_values": (lambda v: v > 1, "above 1"),
+    "sigma": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "lam": (lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    "beta_star": (lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    "gamma": (lambda v: v > 1, "above 1"),
+    "correlation": (lambda v: 0 <= v < 1, "in [0, 1)"),
+}
+
+
+def _check_range(name, key, value):
+    """``value`` (already converted) if it lies in the parameter's range."""
+    if key in _RANGES:
+        ok, text = _RANGES[key]
+        if not all(map(ok, value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{name!r} parameter {key!r} must be {text}, got {value!r}")
+    return value
+
+
 def run_experiment(config: dict) -> dict:
     """Run a named theory experiment and return a structured report.
 
     Known experiments are the keys of ``EXPERIMENTS``: ``tail-bound``,
     ``theorem1``, ``src``, ``irrepresentable``, ``zeta``.  An unknown name,
-    an unknown parameter or a value of the wrong type raises ``ConfigError``
-    before anything runs.  Reports carry one PASS/FAIL entry per checked
-    invariant plus all numeric values; condition violations in
-    ``theorem1`` are reported as such rather than failed.
+    an unknown parameter, a value of the wrong type or a value outside the
+    parameter's range (``_RANGES``) raises ``ConfigError`` before anything
+    runs.  Reports carry one PASS/FAIL entry per checked invariant plus all
+    numeric values; condition violations in ``theorem1`` are reported as
+    such rather than failed.
     """
     if not isinstance(config, dict) or "experiment" not in config:
         raise ConfigError("config needs an 'experiment' key")
@@ -642,6 +668,7 @@ def run_experiment(config: dict) -> dict:
     unknown = sorted(set(params) - set(signature))
     if unknown:
         raise ConfigError(f"unknown parameters for {name!r}: {unknown}")
-    kwargs = {k: _convert(name, k, v, signature[k].annotation) for k, v in params.items()}
+    kwargs = {k: _check_range(name, k, _convert(name, k, v, signature[k].annotation))
+              for k, v in params.items()}
     seed = kwargs.get("seed", signature["seed"].default)
     return {"experiment": name, "seed": seed, **run(**kwargs)}

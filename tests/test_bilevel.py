@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grpsel.bilevel import (
+    BRIDGE_FREEZE_TOL,
     bridge_lambda_upper,
     cmcp_lambda_max,
     composite_threshold,
@@ -9,6 +10,7 @@ from grpsel.bilevel import (
     fit_path_lcd,
     fit_path_sgl,
     fit_sparse_group_lasso,
+    least_squares_init,
     sgl_kkt,
     sgl_lambda_max,
 )
@@ -26,6 +28,7 @@ from grpsel.scenarios import ScenarioSpec, make_scenario
 from conftest import gaussian_design, gaussian_problem
 from oracles import (
     composite_mcp_value,
+    fit_lcd_reference,
     lasso_cd_reference,
     sparse_group_prox_oracle,
     subgradient_descent_reference,
@@ -278,3 +281,36 @@ def test_descent_check_without_updates_reports_zero():
                   check_descent=True)
     assert not np.any(fit.coef)
     assert fit.max_descent_violation == 0.0
+
+
+def test_bridge_freeze_applies_pending_moves_to_the_residual():
+    # group 1 starts at (0.3, 2e-10, 0): the first visit zeroes coordinate 0,
+    # leaving the 1-norm just above the freeze level, then zeroes coordinate
+    # 1 and freezes the group while the move of coordinate 0 is still
+    # pending; it must reach the residual before the group is pinned
+    beta = np.array([1.0, -0.8, 0.6, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5])
+    design, _ = gaussian_design(60, [3, 3, 3], beta=beta, sigma=0.5, seed=7,
+                                orthonormalize=False)
+    init = least_squares_init(design)
+    init[3:6] = [0.3, 2 * BRIDGE_FREEZE_TOL, 0.0]
+    pen = PenaltySpec("gbridge", lam=0.1)
+    got = fit_lcd(design, pen, init=init)
+    ref = fit_lcd_reference(design, pen, init=init)
+    assert got.residual_drift <= 1e-12
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+    np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10)
+    assert not np.any(got.coef[3:6])
+
+
+def test_cmcp_descent_check_on_correlated_wide_design():
+    # with check_descent the residual is brought up to date before every
+    # objective evaluation; p = 60 > n = 40, common correlation 0.3
+    beta = np.zeros(60)
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(40, [4] * 15, beta=beta, sigma=1.0, correlation=0.3,
+                                seed=32, orthonormalize=False)
+    pen = PenaltySpec("cmcp", lam=0.4 * cmcp_lambda_max(design))
+    fit = fit_lcd(design, pen, check_descent=True)
+    assert fit.converged and np.any(fit.coef)
+    assert fit.max_descent_violation <= 1e-12
+    assert fit.residual_drift <= 1e-12

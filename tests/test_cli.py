@@ -284,8 +284,10 @@ def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypa
                                "params": {"n": 60, "group_sizes": [2] * 4,
                                           "reps": 8, "seed": 3}}))
     out = tmp_path / "report.json"
-    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 0
+    code = main(["verify-theory", "--config", str(cfg), "--out", str(out)])
     report = json.load(open(out))
+    # one cycle per fit leaves replicates off the oracle fit: the check fails
+    assert (code, report["status"]) == (3, "FAIL")
     assert 0 < report["n_nonconverged"] <= 8
     assert capsys.readouterr().err == f"{report['n_nonconverged']} of 8 fits did not converge\n"
 
@@ -326,6 +328,49 @@ def test_theorem1_unknown_key_raises_before_any_replicate(tmp_path, capsys, monk
     assert main(["verify-theory", "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,params", [
+    ("tail-bound", {"draws": 0}),
+    ("tail-bound", {"t_values": [2.0, 1.0]}),
+    ("tail-bound", {"k_values": [0]}),
+    ("theorem1", {"reps": 0}),
+    ("theorem1", {"n": 1}),
+    ("theorem1", {"sigma": 0.0}),
+    ("theorem1", {"lam": -0.1}),
+    ("theorem1", {"gamma": 1.0}),
+    ("theorem1", {"correlation": 1.0}),
+    ("theorem1", {"beta_star": -1.0}),
+    ("theorem1", {"n_starts": 0}),
+    ("theorem1", {"seed": -1}),
+    ("src", {"d_star": 0}),
+    ("irrepresentable", {"problems": 0}),
+    ("zeta", {"m": 0}),
+], ids=["draws_0", "t_at_1", "k_0", "reps_0", "n_1", "sigma_0", "lam_negative",
+        "gamma_1", "correlation_1", "beta_star_negative", "n_starts_0", "seed_negative",
+        "d_star_0", "problems_0", "m_0"])
+def test_out_of_range_theory_parameter_exits_2(tmp_path, capsys, experiment, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(next(iter(params))) in err
+    assert not out.exists()
+
+
+def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
+    from grpsel import theory
+
+    # a bound below every frequency makes every tail-bound case fail
+    monkeypatch.setattr(theory, "chisq_tail_bound", lambda t, k: -1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "tail-bound",
+                               "params": {"draws": 100, "k_values": [1]}}))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 3
+    assert json.load(open(out))["pass"] is False
+    assert capsys.readouterr().out.endswith("FAIL: tail-bound\n")
 
 
 @pytest.mark.parametrize("command,flags", [

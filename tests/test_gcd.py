@@ -431,3 +431,38 @@ def test_non_finite_step_never_reports_converged(solver):
     y[3] = np.nan
     nan_response = replace(design, y=y)
     assert not _reports_converged(lambda: fit(nan_response, np.zeros(design.p)))
+
+
+@pytest.mark.parametrize("family", ["cmcp", "gbridge"])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
+def test_lcd_without_descent_check_matches_separate_loop_reference(case, family):
+    # without check_descent the LCD sweep applies each group's moves to the
+    # residual at once; the iterates must still be those of the
+    # per-coordinate reference loop
+    from oracles import fit_lcd_reference
+
+    spec = _REFERENCE_DESIGNS[case]
+    beta = np.zeros(sum(spec["sizes"]))
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(
+        spec["n"], spec["sizes"], beta=beta, sigma=1.0, correlation=0.3,
+        seed=spec["seed"], orthonormalize=False,
+        weights=("pow", 0.5) if family == "gbridge" else "sqrt",
+    )
+    if family == "gbridge":
+        top = bridge_lambda_upper(design, PenaltySpec("gbridge", lam=0.0))
+    else:
+        top = cmcp_lambda_max(design)
+    previous = None
+    for ratio in _BILEVEL_LEVELS[family]:
+        pen = PenaltySpec(family, lam=ratio * top)
+        for init in [None] if previous is None else [None, previous]:
+            ref = fit_lcd_reference(design, pen, init=init)
+            got = fit_lcd(design, pen, init=init)
+            where = f"{case} {family} ratio={ratio} warm={init is not None}"
+            assert got.iterations == ref.iterations, where
+            assert got.converged == ref.converged, where
+            np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10,
+                                       err_msg=where)
+            assert got.residual_drift <= 1e-12, where
+        previous = ref.coef

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpsel.errors import DomainError, GammaOutOfRange, UnsupportedFamily
 from grpsel.penalties import (
+    _TIE_EPS,
     PenaltySpec,
     rho,
     rho_prime,
@@ -277,6 +278,28 @@ class TestHardThresholds:
 def test_soft_threshold_elementwise():
     z = np.array([2.0, -0.5, 0.1])
     np.testing.assert_allclose(soft_threshold(z, 0.5), [1.5, 0.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.floats(allow_nan=False),
+       t=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)),
+       tie=st.sampled_from([None, -1, 0, 1]))
+@example(z=0.0, t=0.0, tie=None)
+@example(z=-0.0, t=0.0, tie=None)
+@example(z=0.0, t=1.5, tie=None)
+@example(z=-0.0, t=1.5, tie=None)
+@example(z=-2.0, t=0.0, tie=None)
+@example(z=-1.0, t=1.5, tie=-1)
+@example(z=1.0, t=1.5, tie=1)
+def test_scalar_soft_threshold_matches_array_path(z, t, tie):
+    if tie is not None:
+        # |z| at the tie boundary t*(1 + tie*_TIE_EPS)
+        z = math.copysign(t * (1 + tie * _TIE_EPS), z)
+    got = soft_threshold(z, t)
+    ref = float(soft_threshold(np.array(z), t))
+    assert type(got) is float
+    # bit for bit: equal, and zeros of the same sign
+    assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
 def test_objective_rejects_unknown_family():
