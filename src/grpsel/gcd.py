@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthonormalized, UnsupportedFamily
-from .penalties import _GROUP_RHO, PenaltySpec, objective, rho_prime, solve_single_group
+from .errors import DimensionMismatch, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
+from .penalties import (_GROUP_RHO, PenaltySpec, objective, rho_prime, solve_single_group,
+                        solve_single_group_columns)
 
 # the 2-norm group families and the scalar penalty applied to each group norm
 _GROUP_PENALTY = {fam: kind for fam, (kind, norm) in _GROUP_RHO.items() if norm == "l2"}
@@ -207,14 +208,7 @@ def fit_gcd(
     For the concave families the result is a stationary point, not
     necessarily a global minimizer.
     """
-    if pen.family not in _GROUP_PENALTY:
-        raise UnsupportedFamily(
-            f"fit_gcd handles {tuple(_GROUP_PENALTY)}, not {pen.family!r}"
-        )
-    if not design.orthonormalized:
-        raise NotOrthonormalized(
-            "fit_gcd requires a design built with orthonormalize=True"
-        )
+    _check_gcd(design, pen, "fit_gcd")
     n, X = design.n, design.X
     gamma, family = pen.gamma, pen.family
     bounds = [(start, start + size) for start, size in design.groups]
@@ -247,6 +241,73 @@ def fit_gcd(
 
     return _descend(design, pen, init, sweep, lambda b: kkt_check(design, pen, b),
                     tol, max_iter, check_descent)
+
+
+def _check_gcd(design, pen, name):
+    if pen.family not in _GROUP_PENALTY:
+        raise UnsupportedFamily(f"{name} handles {tuple(_GROUP_PENALTY)}, not {pen.family!r}")
+    if not design.orthonormalized:
+        raise NotOrthonormalized(f"{name} requires a design built with orthonormalize=True")
+
+
+def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = None,
+                    tol: float = 1e-7, max_iter: int = 10_000):
+    """``fit_gcd`` on every column of the n x R response matrix ``Y``, in one descent.
+
+    Returns the p x R internal coefficients and the per-column cycle counts
+    and convergence flags.  Column k takes the steps of ``fit_gcd`` on
+    ``design.with_response(Y[:, k])`` from ``init[:, k]``: its own ``moved``
+    sum, zero-group skip and stops.  Only the order of floating-point sums
+    differs.  A column that has stopped no longer changes.
+    """
+    _check_gcd(design, pen, "fit_gcd_columns")
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != design.n:
+        raise DimensionMismatch(f"Y must be a matrix with {design.n} rows")
+    if not np.isfinite(Y).all():
+        raise NonFiniteInput("Y contains NaN or infinite entries")
+    n, X, R = design.n, design.X, Y.shape[1]
+    B = np.zeros((design.p, R)) if init is None else np.array(init, dtype=float)
+    if B.shape != (design.p, R):
+        raise ValueError("init has the wrong shape")
+    thresholds = (design.cj * pen.lam).tolist()
+    iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
+    run, b = np.arange(R), B.copy()  # the columns still cycling, and their coefficients
+    r = Y - X @ b
+    for it in range(1, max_iter + 1):
+        g = X.T @ r / n + b
+        g_norms = np.sqrt(np.add.reduceat(g * g, design.starts))
+        nonzero = np.logical_or.reduceat(b != 0, design.starts)
+        delta, moved = np.zeros((2, run.size))
+        for j, (a, e) in enumerate((a, a + d) for a, d in design.groups):
+            # the columns whose group j the skip of fit_gcd does not leave at zero
+            k = np.flatnonzero(nonzero[j] | ~(g_norms[j] + moved <= thresholds[j]))
+            if k.size:
+                # until something moves in a column, r is the residual g was computed from
+                fresh = (X[:, a:e].T @ r / n)[:, k] + b[a:e, k]
+                z = np.where(moved[k] == 0.0, g[a:e, k], fresh)
+                new = solve_single_group_columns(z, thresholds[j], pen.gamma, pen.family)
+                diff = new - b[a:e, k]
+                step = np.max(np.abs(diff), axis=0)
+                delta[k] = np.fmax(delta[k], step)
+                up = step > 0  # False for a NaN step, as in fit_gcd
+                k, diff = k[up], diff[:, up]
+                r[:, k] -= X[:, a:e] @ diff
+                b[a:e, k] = new[:, up]
+                moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        iterations[run] = it
+        finite = np.isfinite(r).all(axis=0)  # a non-finite residual stops unconverged
+        converged[run] = finite & (delta <= tol)
+        stop = ~finite | (delta <= tol)
+        if stop.any():
+            B[:, run[stop]] = b[:, stop]
+            run, b, r = run[~stop], b[:, ~stop], r[:, ~stop]
+            if not run.size:
+                break
+        if it % 100 == 0:
+            r = Y[:, run] - X @ b  # guard against floating-point drift in the running residual
+    B[:, run] = b
+    return B, iterations, converged
 
 
 def kkt_check(design, pen: PenaltySpec, coef: np.ndarray) -> float:

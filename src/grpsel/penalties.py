@@ -81,6 +81,10 @@ class PenaltySpec:
                 object.__setattr__(self, "gamma_inner", 2.7)
             if not self.gamma_inner > 1 or math.isinf(self.gamma_inner):
                 raise GammaOutOfRange("cmcp requires finite gamma_inner > 1")
+            # the outer gamma*lam of a one-column group; the slopes divide by it
+            if self.lam > 0 and self.gamma_inner * self.lam / 2 * self.lam == 0:
+                raise ValueError(f"cmcp lam {self.lam!r} is so small that "
+                                 "gamma_inner * lam**2 / 2 underflows to 0")
         elif self.gamma_inner is not None:
             raise ValueError("gamma_inner applies to the cmcp family only")
         g = self.gamma
@@ -127,14 +131,14 @@ def soft_threshold(z, t):
     return np.sign(z) * shrunk
 
 
-def soft_threshold_vec(z: np.ndarray, t: float) -> np.ndarray:
+def soft_threshold_vec(z: np.ndarray, t: float, nz: float = None) -> np.ndarray:
     """Multivariate soft threshold (1 - t/||z||)_+ * z.
 
     Shrinks the length of z by t, leaving its direction unchanged; returns
-    the zero vector when ||z|| <= t.
+    the zero vector when ||z|| <= t.  ``nz`` is ||z|| if the caller has it.
     """
     z = np.asarray(z, dtype=float)
-    nz = np.linalg.norm(z)
+    nz = np.linalg.norm(z) if nz is None else nz
     if nz == 0.0:
         return np.zeros_like(z)
     shrink = 1.0 - t / nz
@@ -218,30 +222,50 @@ def solve_single_group(z: np.ndarray, lam: float, gamma: float, family: str) -> 
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     z = np.asarray(z, dtype=float)
+    # ||z|| once; np.linalg.norm of a 1-d array is sqrt(z.dot(z)), bit for bit
+    nz = math.sqrt(z @ z)
     if family == "glasso":
-        return soft_threshold_vec(z, lam)
+        return soft_threshold_vec(z, lam, nz)
     if family == "gmcp":
         if not gamma > 1:
             raise GammaOutOfRange("gmcp requires gamma > 1")
         if math.isinf(gamma):
-            return soft_threshold_vec(z, lam)
-        if np.linalg.norm(z) <= gamma * lam:
-            return (gamma / (gamma - 1)) * soft_threshold_vec(z, lam)
+            return soft_threshold_vec(z, lam, nz)
+        if nz <= gamma * lam:
+            return (gamma / (gamma - 1)) * soft_threshold_vec(z, lam, nz)
         return z.copy()
     if family == "gscad":
         if not gamma > 2:
             raise GammaOutOfRange("gscad requires gamma > 2")
-        if math.isinf(gamma):
-            return soft_threshold_vec(z, lam)
-        nz = np.linalg.norm(z)
-        if nz <= 2 * lam:
-            return soft_threshold_vec(z, lam)
+        if math.isinf(gamma) or nz <= 2 * lam:
+            return soft_threshold_vec(z, lam, nz)
         if nz <= gamma * lam:
-            return ((gamma - 1) / (gamma - 2)) * soft_threshold_vec(
-                z, gamma * lam / (gamma - 1)
-            )
+            t = gamma * lam / (gamma - 1)
+            return ((gamma - 1) / (gamma - 2)) * soft_threshold_vec(z, t, nz)
         return z.copy()
     raise UnsupportedFamily(f"no single-group solution for family {family!r}")
+
+
+def solve_single_group_columns(Z: np.ndarray, lam: float, gamma: float,
+                               family: str) -> np.ndarray:
+    """``solve_single_group`` on every column of the d x R matrix ``Z``.
+
+    Same branches, tie rule and products; only the column norms are summed
+    in another order.  ``gamma`` must lie in the family's range.
+    """
+    nz = np.sqrt(np.einsum("ij,ij->j", Z, Z))
+
+    def shrunk(t):  # soft_threshold_vec of every column
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrink = 1.0 - t / nz
+        return np.where((nz == 0.0) | (shrink <= _TIE_EPS), 0.0, shrink) * Z
+
+    if family == "glasso" or math.isinf(gamma):
+        return shrunk(lam)
+    if family == "gmcp":
+        return np.where(nz <= gamma * lam, (gamma / (gamma - 1)) * shrunk(lam), Z)
+    mid = ((gamma - 1) / (gamma - 2)) * shrunk(gamma * lam / (gamma - 1))  # gscad
+    return np.where(nz <= 2 * lam, shrunk(lam), np.where(nz <= gamma * lam, mid, Z))
 
 
 def _mcp(t, lam, gamma):

@@ -98,6 +98,16 @@ class TestFitLcd:
         ls, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
         np.testing.assert_allclose(fit.coef, ls, atol=1e-6)
 
+    def test_cmcp_at_the_smallest_accepted_level_is_least_squares(self):
+        # gamma_inner * lam**2 / 2 is subnormal here, and the slopes divide by it
+        X, y, labels, _ = gaussian_problem(60, [3, 3], sigma=0.6, seed=1,
+                                           beta=np.array([1, 0.5, 0, -1, 0, 0.2]))
+        design = build_design(X, y, labels, orthonormalize=False)
+        fit = fit_lcd(design, PenaltySpec("cmcp", lam=1e-160), tol=1e-11)
+        assert fit.converged and fit.kkt_max_violation < 1e-6
+        ls, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
+        np.testing.assert_allclose(fit.coef, ls, atol=1e-6)
+
     @pytest.mark.parametrize("family", ["gbridge", "cmcp"])
     def test_mm_descent_never_increases_objective(self, family):
         design, _ = gaussian_design(

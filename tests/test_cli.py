@@ -277,8 +277,8 @@ def test_cv_counts_nonconverged_fits(tmp_path, fig3_files, capsys):
 def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypatch):
     from grpsel import gcd, theory
 
-    monkeypatch.setattr(theory, "fit_gcd",
-                        lambda *args, **kwargs: gcd.fit_gcd(*args, max_iter=1, **kwargs))
+    monkeypatch.setattr(theory, "fit_gcd_columns",
+                        lambda *args, **kwargs: gcd.fit_gcd_columns(*args, max_iter=1, **kwargs))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "theorem1",
                                "params": {"n": 60, "group_sizes": [2] * 4,
@@ -303,9 +303,15 @@ def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypa
     {"experiment": "zeta", "params": {"base": [4]}},
     {"experiment": "tail-bound", "params": {"k_values": [1, "two"]}},
     3,
+    {"experiment": "theorem1", "params": {"n": 2}},
+    {"experiment": "theorem1", "params": {"n": 3}},
+    {"experiment": "irrepresentable", "params": {"n": 3}},
+    {"experiment": "irrepresentable", "params": {"n": 5, "group_sizes": [2, 2, 5]}},
 ], ids=["sizes_not_a_list", "params_not_an_object", "reps_not_an_integer",
         "support_out_of_range", "support_negative", "support_repeated",
-        "empty_group", "base_out_of_range", "k_not_an_integer", "config_not_an_object"])
+        "empty_group", "base_out_of_range", "k_not_an_integer", "config_not_an_object",
+        "theorem1_n_below_group", "theorem1_n_below_support",
+        "irrepresentable_n_below_support", "irrepresentable_n_below_group"])
 def test_malformed_theory_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -386,9 +392,10 @@ def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
     ("path", ["--penalty", "gmcp", "--gamma", "2.7,0.5"]),
     ("path", ["--penalty", "sgl", "--lambda2", "inf"]),
     ("cv", ["--penalty", "gscad", "--gamma", "inf,1.5"]),
+    ("fit", ["--penalty", "cmcp", "--lambda", "1e-170"]),
 ], ids=["lambda_abc", "lambda_negative", "lambda_nan", "lambda_inf", "gamma_x",
         "gmcp_gamma_0.5", "gbridge_gamma_2", "lambda2_negative", "lambda2_nan",
-        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma"])
+        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma", "cmcp_lambda_underflow"])
 def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags):
     code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
     assert code == 2

@@ -15,7 +15,7 @@ from grpsel.bilevel import (
 )
 from grpsel.design import GroupedDesign, build_design
 from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
-from grpsel.gcd import fit_gcd, fit_path, kkt_check, lambda_grid, lambda_max
+from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
 from grpsel.penalties import PenaltySpec, objective, solve_single_group
 
 from conftest import cross_orthogonal_design, gaussian_design, gaussian_problem
@@ -314,6 +314,60 @@ def test_fit_gcd_matches_every_group_reference(case, family, gamma):
             assert _same_float(got.max_descent_violation, ref.max_descent_violation,
                                ref.objective), where
         previous = ref.coef
+
+
+@pytest.mark.parametrize("correlation", [0.0, 0.5])
+def test_batched_fits_match_fit_gcd(correlation):
+    sizes = [3, 1, 2, 4, 2, 1, 3]
+    beta = np.zeros(sum(sizes))
+    beta[:6] = [1.0, -0.6, 0.4, 0.8, -1.2, 0.5]
+    design, _ = gaussian_design(60, sizes, beta=beta, correlation=correlation, seed=11)
+    rng = np.random.default_rng(12)
+    # eight signal responses, and four whose fit at these levels is exactly zero
+    Y = np.hstack([design.X @ design.transform(beta)[:, None] + rng.standard_normal((60, 8)),
+                   1e-3 * rng.standard_normal((60, 4))])
+    inits = (None, 0.5 * rng.standard_normal((design.p, 12)))
+    lam = 0.3 * lambda_max(design)
+    for family, gamma in [("glasso", math.inf), ("gmcp", 1.5), ("gmcp", 3.0),
+                          ("gmcp", math.inf), ("gscad", 3.7)]:
+        pen = PenaltySpec(family, lam=lam, gamma=gamma)
+        for init in inits:
+            for max_iter in (10_000, 1):
+                B, iterations, converged = fit_gcd_columns(design, pen, Y, init, tol=1e-10,
+                                                           max_iter=max_iter)
+                for k in range(Y.shape[1]):
+                    ref = fit_gcd(design.with_response(Y[:, k]), pen, tol=1e-10,
+                                  init=None if init is None else init[:, k],
+                                  max_iter=max_iter)
+                    where = (f"{family} gamma={gamma} init={init is not None} "
+                             f"max_iter={max_iter} column {k}")
+                    assert iterations[k] == ref.iterations, where
+                    assert converged[k] == ref.converged, where
+                    np.testing.assert_allclose(B[:, k], ref.coef, rtol=0, atol=1e-12,
+                                               err_msg=where)
+                if max_iter == 1:
+                    # the zero fits stop after one cycle from a zero start only
+                    assert not converged[:8].any()
+                    assert converged[8:].all() == (init is None)
+    # long fits, past the residual refresh every 100 cycles
+    slow, _ = gaussian_design(60, sizes, beta=beta, correlation=0.9, seed=11)
+    pen = PenaltySpec("gmcp", lam=0.05 * lambda_max(slow), gamma=3.0)
+    B, iterations, converged = fit_gcd_columns(slow, pen, Y[:, :2], tol=1e-10)
+    for k in range(2):
+        ref = fit_gcd(slow.with_response(Y[:, k]), pen, tol=1e-10)
+        assert (iterations[k], converged[k]) == (ref.iterations, ref.converged)
+        assert ref.iterations > 200
+        np.testing.assert_allclose(B[:, k], ref.coef, rtol=0, atol=1e-12)
+    bad = Y.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(NonFiniteInput):
+        fit_gcd_columns(design, PenaltySpec("gmcp", lam=lam), bad)
+    standardized, _ = gaussian_design(60, sizes, beta=beta, seed=11, orthonormalize=False)
+    with pytest.raises(NotOrthonormalized):
+        fit_gcd_columns(standardized, PenaltySpec("gmcp", lam=lam), Y)
+    for family in ("gbridge", "cmcp"):
+        with pytest.raises(UnsupportedFamily):
+            fit_gcd_columns(design, PenaltySpec(family, lam=lam), Y)
 
 
 # Penalty levels for the bi-level comparison, as fractions of the top of each

@@ -44,6 +44,15 @@ class TestPenaltySpec:
         with pytest.raises(ValueError):
             PenaltySpec("glasso", -0.1)
 
+    @pytest.mark.parametrize("lam", [1e-170, 5e-324])
+    def test_cmcp_level_whose_square_underflows_rejected(self, lam):
+        # the outer MCP's gamma*lam = gamma_inner*lam**2/2 would be 0.0
+        with pytest.raises(ValueError, match="underflows"):
+            PenaltySpec("cmcp", lam)
+        with pytest.raises(ValueError, match="underflows"):
+            PenaltySpec("cmcp", 0.0).with_lam(lam)
+        assert PenaltySpec("gmcp", lam).lam == lam
+
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_nonfinite_levels_rejected(self, level):
         with pytest.raises(ValueError):

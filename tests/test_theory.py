@@ -61,6 +61,16 @@ class TestOracleLs:
         ls, *_ = np.linalg.lstsq(problem.design.X, y, rcond=None)
         np.testing.assert_allclose(ours, ls, atol=1e-10)
 
+    def test_matrix_response_is_one_fit_per_column(self):
+        problem = random_problem(50, [2, 3, 1], support=[0, 2], beta_star=1.0,
+                                 sigma=1.0, seed=4)
+        Y = np.random.default_rng(6).standard_normal((50, 7))
+        coef = oracle_ls(problem, Y)
+        assert coef.shape == (problem.design.p, 7)
+        for k in range(7):
+            np.testing.assert_allclose(coef[:, k], oracle_ls(problem, Y[:, k]),
+                                       rtol=0, atol=1e-14)
+
     def test_normal_equations_identity(self):
         # the support fit solves the normal equations exactly: the loss
         # gradient vanishes on every support group, and the solution equals
@@ -321,6 +331,15 @@ class TestRunExperiment:
                               "params": {"problems": 10, "seed": 2}})
         assert rep["pass"] is True
         assert rep["worst_lhs"] <= 1e-12
+
+    @pytest.mark.parametrize("name", ["theorem1", "irrepresentable"])
+    def test_support_filling_the_centered_rank_runs(self, name):
+        # n = 5 leaves rank 4 after centering: exactly the support's 4 columns
+        params = {"n": 5, "reps": 5} if name == "theorem1" else {"n": 5, "problems": 3}
+        assert run_experiment({"experiment": name, "params": params})["status"] in (
+            "PASS", "FAIL", "CONDITION_VIOLATED")
+        with pytest.raises(ConfigError, match="rank 3"):
+            run_experiment({"experiment": name, "params": {**params, "n": 4}})
 
     def test_theorem1_negative_control_reports_condition(self):
         rep = run_experiment({
