@@ -18,8 +18,8 @@ survive the mapping back to the caller's coordinates:
   computed in Python floats with the formulas and order of operations of
   ``_mcp``/``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes
   its scalar path, so the iterates are those of the per-coordinate loop up
-  to rounding.  The pending moves reach the residual before every
-  ``note()`` (with ``check_descent``) and before a bridge group is frozen.
+  to rounding.  The pending moves reach the residual before a bridge
+  group is frozen; ``note()`` (with ``check_descent``) reads ``b`` alone.
 
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
@@ -186,9 +186,7 @@ def fit_lcd(
                     if lam:
                         factor = group_factor(j, bj)
                 if note:
-                    if moved:
-                        settle(b, r, a, Xj, bj, diffs, moved)
-                        c = (Xj.T @ r / n).tolist()
+                    b[a:e] = bj
                     note()
                 if freezing and factor < BRIDGE_FREEZE_TOL:
                     # the tangent slope diverges at zero: pin the group there

@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import tempfile
+import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -68,72 +70,73 @@ def write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_cell(cell: str, path: str) -> float:
+def _loadtxt(path: str, source, **options) -> np.ndarray:
+    """Numeric CSV body parsed by numpy; an empty body gives zero rows."""
     try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"{path}: cannot parse {cell!r} as a number") from None
+        with warnings.catch_warnings():
+            # loadtxt only warns on an empty body; the callers count the rows
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(source, delimiter=",", comments=None, quotechar='"',
+                              **options)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def read_matrix_csv(path: str):
     """Headered CSV of predictors: returns (column names, float matrix)."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        names = [c.strip() for c in names]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ParseError(f"{path}: row with {len(row)} cells, expected {len(names)}")
-            rows.append([_parse_cell(c, path) for c in row])
-    if not rows:
+        names = [c.strip() for c in next(csv.reader(handle), [])]
+        X = _loadtxt(path, handle, ndmin=2)
+    if not X.shape[0]:
         raise ParseError(f"{path}: no data rows")
-    return names, np.array(rows)
+    if X.shape[1] != len(names):
+        raise ParseError(f"{path}: rows with {X.shape[1]} cells, expected {len(names)}")
+    return names, X
 
 
 def read_vector_csv(path: str) -> np.ndarray:
-    """Single-column CSV; an initial non-numeric line is taken as a header."""
+    """First column of a CSV; an initial non-numeric line is taken as a header."""
     with open(path, newline="") as handle:
-        cells = [row[0] for row in csv.reader(handle) if row]
-    if not cells:
-        raise ParseError(f"{path}: empty file")
-    try:
-        float(cells[0])
-    except ValueError:
-        cells = cells[1:]
-    if not cells:
+        first = next((line for line in handle if line.strip()), "")
+        try:
+            head = _loadtxt(path, [first], ndmin=1, usecols=0)
+        except ParseError:
+            head = np.empty(0)  # a header
+        y = np.concatenate([head, _loadtxt(path, handle, ndmin=1, usecols=0)])
+    if not y.size:
         raise ParseError(f"{path}: no data rows")
-    return np.array([_parse_cell(c, path) for c in cells])
+    return y
+
+
+def _read_map(path: str, key_name: str, keys, key_type, value_type) -> np.ndarray:
+    """Values of a two-column (key, value) CSV, one per entry of ``keys``.
+
+    A first row whose first cell is ``key_name`` is a header.  Every key
+    must appear exactly once, and no other key may appear.
+    """
+    with open(path, newline="") as handle:
+        header = next(csv.reader([handle.readline()]))
+        if not header or header[0].strip() != key_name:
+            handle.seek(0)
+        rows = _loadtxt(path, handle, ndmin=1,
+                        dtype=[("key", key_type), ("value", value_type)])
+    found = rows["key"].tolist()
+    if key_type is object:
+        found = [k.strip() for k in found]
+    table = dict(zip(found, rows["value"].tolist()))
+    for bad, what in (
+        ([k for k, m in Counter(found).items() if m > 1], "listed more than once"),
+        (sorted(table.keys() - set(keys)), "not in the data"),
+        ([k for k in keys if k not in table], "without a row"),
+    ):
+        if bad:
+            raise ParseError(f"{path}: {key_name} {bad} {what}")
+    return np.array([table[k] for k in keys])
 
 
 def read_groups_csv(path: str, names) -> np.ndarray:
     """Two-column (column_name, group_id) CSV mapped onto the predictor names."""
-    mapping = {}
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: expected two columns per row")
-            name, gid = row[0].strip(), row[1].strip()
-            if name == "column_name" and not mapping:
-                continue  # header
-            try:
-                mapping[name] = int(gid)
-            except ValueError:
-                raise ParseError(f"{path}: group id {gid!r} is not an integer") from None
-    missing = [c for c in names if c not in mapping]
-    if missing:
-        raise ParseError(f"{path}: no group for column(s) {missing}")
-    unknown = [c for c in mapping if c not in set(names)]
-    if unknown:
-        raise ParseError(f"{path}: group map names unknown column(s) {unknown}")
-    return np.array([mapping[c] for c in names])
+    return _read_map(path, "column_name", names, object, np.int64)
 
 
 def _weights_arg(args, pen: PenaltySpec, labels):
@@ -142,29 +145,18 @@ def _weights_arg(args, pen: PenaltySpec, labels):
             return ("pow", pen.gamma)  # the size adjustment matching the bridge
         return "sqrt"
     if args.weights == "pow":
-        if args.weights_exponent is None:
-            raise ParseError("--weights pow needs --weights-exponent")
+        if args.weights_exponent is None or not math.isfinite(args.weights_exponent):
+            raise ParseError("--weights pow needs a finite --weights-exponent")
         return ("pow", args.weights_exponent)
     if args.weights == "file":
         if args.weights_file is None:
             raise ParseError("--weights file needs --weights-file")
-        table = {}
-        with open(args.weights_file, newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or row[0].strip() == "group_id":
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{args.weights_file}: expected two columns per row")
-                try:
-                    table[int(row[0])] = float(row[1])
-                except ValueError:
-                    raise ParseError(
-                        f"{args.weights_file}: cannot parse weight row {row}") from None
-        uniq = np.unique(labels)
-        try:
-            return np.array([table[int(g)] for g in uniq])
-        except KeyError as exc:
-            raise ParseError(f"missing weight for group {exc}") from None
+        uniq = np.unique(labels).tolist()
+        weights = _read_map(args.weights_file, "group_id", uniq, np.int64, float)
+        bad = {g: w for g, w in zip(uniq, weights.tolist()) if not 0 < w < math.inf}
+        if bad:
+            raise ParseError(f"{args.weights_file}: weights must be finite and positive: {bad}")
+        return weights
     raise ParseError(f"unknown weights rule {args.weights!r}")
 
 

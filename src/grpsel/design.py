@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGroup, NonFiniteInput, SingularGroup
+from .errors import DimensionMismatch, DomainError, EmptyGroup, NonFiniteInput, SingularGroup
 
 # A Cholesky pivot below PIVOT_RTOL times the largest diagonal entry of the
 # group Gram matrix marks the group as numerically singular.
@@ -209,6 +209,9 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
         (more columns than rows, or collinear columns within the group).
     NonFiniteInput
         If X or y holds a NaN or infinite entry.
+    DomainError
+        If a group weight is not finite and positive (an explicit entry,
+        or ``d_j**g`` for a non-finite or overflowing exponent).
     EmptyGroup, DimensionMismatch
     """
     X = np.asarray(X, dtype=float)
@@ -293,6 +296,8 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
         if cj.shape != (J,):
             raise DimensionMismatch(f"need {J} group weights, got {cj.shape[0]}")
         rule = ("custom", tuple(cj.tolist()))
+    if not np.all(np.isfinite(cj) & (cj > 0)):
+        raise DomainError(f"group weights must be finite and positive, got {cj.tolist()}")
 
     return GroupedDesign(
         y=yc,

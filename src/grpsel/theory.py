@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .design import GroupedDesign, build_design
+from .design import PIVOT_RTOL, GroupedDesign, build_design
 from .errors import ConfigError, DomainError, SingularSupport, TooLarge
 # ``fit_gcd`` is not called here; the traced benchmark looks it up in this module.
 from .gcd import fit_gcd, fit_gcd_columns  # noqa: F401
@@ -113,13 +113,21 @@ def oracle_ls(problem: OracleProblem, y: np.ndarray = None) -> np.ndarray:
     if cols.size == 0:
         return coef
     Xs = design.X[:, cols]
+    coef[cols] = _support_solve(Xs, Xs.T @ y)
+    return coef
+
+
+def _support_solve(Xs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(Xs'Xs)^{-1} rhs``; SingularSupport unless the Gram matrix passes
+    the Cholesky pivot test of ``build_design``."""
     gram = Xs.T @ Xs
     try:
-        np.linalg.cholesky(gram)
+        pivots = np.diag(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        raise SingularSupport("support Gram matrix is not positive definite") from None
-    coef[cols] = np.linalg.solve(gram, Xs.T @ y)
-    return coef
+        pivots = np.zeros(1)  # a failed factorization counts as a zero pivot
+    if np.min(pivots) ** 2 <= PIVOT_RTOL * np.max(np.diag(gram)):
+        raise SingularSupport("support Gram matrix is not positive definite")
+    return np.linalg.solve(gram, rhs)
 
 
 def _h(t, k):
@@ -293,11 +301,7 @@ def irrepresentable_lhs(X: np.ndarray, groups, support, beta_o, lam: float, gamm
     v = np.concatenate(blocks)
     cols = _subset_cols(groups, support)
     Xs = X[:, cols]
-    try:
-        w = np.linalg.solve(Xs.T @ Xs, v)
-    except np.linalg.LinAlgError:
-        raise SingularSupport("support Gram matrix is singular") from None
-    proj = Xs @ w
+    proj = Xs @ _support_solve(Xs, v)
     worst = 0.0
     for j in range(len(groups)):
         if j in support:

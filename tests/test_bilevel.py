@@ -313,8 +313,8 @@ def test_bridge_freeze_applies_pending_moves_to_the_residual():
 
 
 def test_cmcp_descent_check_on_correlated_wide_design():
-    # with check_descent the residual is brought up to date before every
-    # objective evaluation; p = 60 > n = 40, common correlation 0.3
+    # with check_descent the objective is evaluated after every coordinate
+    # update; p = 60 > n = 40, common correlation 0.3
     beta = np.zeros(60)
     beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
     design, _ = gaussian_design(40, [4] * 15, beta=beta, sigma=1.0, correlation=0.3,
@@ -324,3 +324,24 @@ def test_cmcp_descent_check_on_correlated_wide_design():
     assert fit.converged and np.any(fit.coef)
     assert fit.max_descent_violation <= 1e-12
     assert fit.residual_drift <= 1e-12
+
+
+@pytest.mark.parametrize("family,ratio", [("cmcp", 0.4), ("gbridge", 0.05)])
+def test_descent_check_runs_the_production_sweep(family, ratio):
+    # check_descent may only add objective evaluations: the fit must be the
+    # one made without it, bit for bit; p = 60 > n = 40, correlation 0.3
+    beta = np.zeros(60)
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    for seed in range(4):
+        design, _ = gaussian_design(40, [4] * 15, beta=beta, sigma=1.0, correlation=0.3,
+                                    seed=seed, orthonormalize=False,
+                                    weights=("pow", 0.5) if family == "gbridge" else "sqrt")
+        if family == "cmcp":
+            top = cmcp_lambda_max(design)
+        else:
+            top = bridge_lambda_upper(design, PenaltySpec("gbridge", lam=0.0))
+        pen = PenaltySpec(family, lam=ratio * top)
+        plain = fit_lcd(design, pen)
+        checked = fit_lcd(design, pen, check_descent=True)
+        assert checked.iterations == plain.iterations
+        assert np.array_equal(checked.coef, plain.coef)

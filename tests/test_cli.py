@@ -190,19 +190,20 @@ def test_inf_predictor_cell_exits_2(tmp_path, fig3_files, capsys):
 
 
 def test_groups_file_must_cover_all_columns(tmp_path, fig3_files, capsys):
-    groups = tmp_path / "incomplete.csv"
-    groups.write_text("column_name,group_id\ng0_0,0\n")
-    code = main(["fit", "--x", fig3_files + "_X.csv", "--y", fig3_files + "_y.csv",
-                 "--groups", str(groups), "--penalty", "glasso",
-                 "--lambda", "0.1", "--out", str(tmp_path / "o")])
-    assert code == 2
-    inconsistent = tmp_path / "extra.csv"
     rows = open(fig3_files + "_groups.csv").read()
-    inconsistent.write_text(rows + "not_a_column,1\n")
-    code = main(["fit", "--x", fig3_files + "_X.csv", "--y", fig3_files + "_y.csv",
-                 "--groups", str(inconsistent), "--penalty", "glasso",
-                 "--lambda", "0.1", "--out", str(tmp_path / "o")])
-    assert code == 2
+    cases = {
+        "incomplete.csv": "column_name,group_id\ng0_0,0\n",
+        "extra.csv": rows + "not_a_column,1\n",
+        "repeated.csv": rows + "g0_0,1\n",  # would otherwise move g0_0 to group 1
+    }
+    for name, text in cases.items():
+        groups = tmp_path / name
+        groups.write_text(text)
+        code = main(["fit", "--x", fig3_files + "_X.csv", "--y", fig3_files + "_y.csv",
+                     "--groups", str(groups), "--penalty", "glasso",
+                     "--lambda", "0.1", "--out", str(tmp_path / "o")])
+        assert code == 2, name
+        assert name in capsys.readouterr().err
 
 
 def test_truth_file_marks_support(tmp_path):
@@ -225,9 +226,21 @@ def test_sgl_path_uses_lambda2_column(tmp_path, fig3_files):
     assert np.all(coefs[0, 3:] == 0.0)
 
 
-@pytest.mark.parametrize("row", ["0", "0,heavy", "g0,1.0"],
-                         ids=["one_cell", "weight_not_a_number", "group_not_an_integer"])
-def test_malformed_weights_file_row_exits_2(tmp_path, fig3_files, capsys, row):
+@pytest.mark.parametrize("row,message", [
+    ("0", "2 columns"),
+    ("0,heavy", "heavy"),
+    ("g0,1.0", "g0"),
+    ("0,inf", "finite and positive"),
+    ("0,nan", "finite and positive"),
+    ("0,0", "finite and positive"),
+    ("0,-1", "finite and positive"),
+    ("0,1.0\n1,2.0", "listed more than once"),
+    ("0,1.0\n7,1.0", "not in the data"),
+    ("", "without a row"),
+], ids=["one_cell", "weight_not_a_number", "group_not_an_integer", "weight_inf",
+        "weight_nan", "weight_zero", "weight_negative", "group_repeated",
+        "group_not_in_data", "group_missing"])
+def test_malformed_weights_file_row_exits_2(tmp_path, fig3_files, capsys, row, message):
     weights = tmp_path / "weights.csv"
     weights.write_text(f"group_id,weight\n{row}\n1,1.0\n")
     code = main(["fit", *data_args(fig3_files), "--penalty", "glasso",
@@ -235,7 +248,52 @@ def test_malformed_weights_file_row_exits_2(tmp_path, fig3_files, capsys, row):
                  "--weights-file", str(weights), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "weights.csv" in err
+    assert err.startswith("error:") and "weights.csv" in err and message in err
+
+
+def test_readers_parse_with_numpy(tmp_path):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return str(path)
+
+    names, X = read_matrix_csv(write("one.csv", "a,b\n1.5,-2\n"))
+    assert names == ["a", "b"] and X.tolist() == [[1.5, -2.0]]
+    # CRLF line endings, a blank line and a quoted number
+    names, X = read_matrix_csv(write("crlf.csv", 'a, b\r\n1,2\r\n\r\n"3",4e-1\r\n'))
+    assert names == ["a", "b"] and X.tolist() == [[1.0, 2.0], [3.0, 0.4]]
+    assert read_vector_csv(write("y1.csv", "y\r\n1\r\n2\r\n")).tolist() == [1.0, 2.0]
+    assert read_vector_csv(write("y2.csv", "\n1\n2\n")).tolist() == [1.0, 2.0]
+    assert read_vector_csv(write("y3.csv", "y,z\n1,9\n2\n")).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("flag,text,message", [
+    ("--x", "", "no data rows"),
+    ("--x", "a,b\n", "no data rows"),
+    ("--x", "a,b\n1,2\n3\n", "columns"),
+    ("--x", "a,b\n1,2,3\n4,5,6\n", "expected 2"),
+    ("--x", "a,b\n1,#\n", "'#'"),
+    ("--x", "a,b\n1,x\n", "'x'"),
+    ("--x", "a,b\n1_000,2\n", "'1_000'"),
+    ("--y", "y\n", "no data rows"),
+    ("--y", "y\n1\nabc\n", "'abc'"),
+], ids=["empty", "header_only", "ragged_row", "header_row_mismatch", "hash_cell",
+        "non_numeric_cell", "underscore_cell", "response_header_only",
+        "response_non_numeric_cell"])
+def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
+    files = {"--x": "a,b\n1,2\n3,5\n", "--y": "y\n1\n2\n",
+             "--groups": "column_name,group_id\na,0\nb,0\n"}
+    files[flag] = text
+    args = []
+    for option, content in files.items():
+        path = tmp_path / (option[2:] + ".csv")
+        path.write_text(content)
+        args += [option, str(path)]
+    code = main(["fit", *args, "--penalty", "glasso", "--lambda", "0.1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{flag[2:]}.csv" in err and message in err
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -393,9 +451,12 @@ def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
     ("path", ["--penalty", "sgl", "--lambda2", "inf"]),
     ("cv", ["--penalty", "gscad", "--gamma", "inf,1.5"]),
     ("fit", ["--penalty", "cmcp", "--lambda", "1e-170"]),
+    ("fit", ["--penalty", "glasso", "--lambda", "0.1", "--weights", "pow",
+             "--weights-exponent", "inf"]),
 ], ids=["lambda_abc", "lambda_negative", "lambda_nan", "lambda_inf", "gamma_x",
         "gmcp_gamma_0.5", "gbridge_gamma_2", "lambda2_negative", "lambda2_nan",
-        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma", "cmcp_lambda_underflow"])
+        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma", "cmcp_lambda_underflow",
+        "weights_exponent_inf"])
 def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags):
     code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
     assert code == 2

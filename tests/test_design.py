@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from grpsel.design import build_design, group_norms, predict, rebuild_design
-from grpsel.errors import DimensionMismatch, EmptyGroup, NonFiniteInput, SingularGroup
+from grpsel.errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptyGroup,
+    NonFiniteInput,
+    SingularGroup,
+)
 from grpsel.penalties import PenaltySpec, objective, rho
 
 from conftest import gaussian_problem
@@ -197,6 +203,12 @@ def test_weights_rules():
     np.testing.assert_allclose(d.cj, 1.0)
     with pytest.raises(DimensionMismatch):
         build_design(X, y, labels, weights=[1.0, 2.0])
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            build_design(X, y, labels, weights=[1.0, bad, 1.0])
+    for exponent in (np.inf, np.nan, -np.inf):
+        with pytest.raises(DomainError):
+            build_design(X, y, labels, weights=("pow", exponent))
 
 
 def test_singular_and_empty_groups_rejected():

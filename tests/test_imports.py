@@ -1,8 +1,11 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def test_library_imports_without_scipy():
@@ -18,3 +21,15 @@ def test_library_imports_without_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_traced_benchmark_patch_targets_resolve():
+    # the traced benchmark wraps library functions by module and name; a
+    # renamed or moved function must fail here, not only in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", os.path.join(ROOT, "bench", "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for target, attr, _, _ in layers.PATCHES:
+        owner = importlib.import_module(target) if isinstance(target, str) else target
+        assert callable(getattr(owner, attr, None)), f"{target}.{attr}"

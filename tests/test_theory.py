@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from grpsel.errors import ConfigError, DomainError, TooLarge
+from grpsel.errors import ConfigError, DomainError, SingularSupport, TooLarge
 from grpsel.theory import (
     chisq_tail_bound,
     eta3,
@@ -232,6 +232,17 @@ class TestIrrepresentable:
         ) / lam
         assert value == pytest.approx(expected, abs=1e-10)
         assert value > 0
+
+    def test_rank_deficient_support_raises(self):
+        # a centered 4 x 6 design has rank 3, below the support's 4 columns;
+        # a plain Cholesky factorization of the support Gram succeeds
+        # through roundoff for some of these seeds
+        beta = np.repeat([0.1, 0.0], [4, 2])
+        for seed in range(20):
+            X = np.random.default_rng(seed).standard_normal((4, 6))
+            X -= X.mean(axis=0)
+            with pytest.raises(SingularSupport):
+                irrepresentable_lhs(X, ((0, 2), (2, 2), (4, 2)), (0, 1), beta, 0.1, 3.0)
 
 
 class TestZetaNorm:
