@@ -145,9 +145,15 @@ def _weights_arg(args, pen: PenaltySpec, labels):
             return ("pow", pen.gamma)  # the size adjustment matching the bridge
         return "sqrt"
     if args.weights == "pow":
-        if args.weights_exponent is None or not math.isfinite(args.weights_exponent):
+        exponent = args.weights_exponent
+        if exponent is None or not math.isfinite(exponent):
             raise ParseError("--weights pow needs a finite --weights-exponent")
-        return ("pow", args.weights_exponent)
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.unique(labels, return_counts=True)[1] ** exponent
+        if not np.all(np.isfinite(powers) & (powers > 0)):
+            raise ParseError(f"--weights-exponent {exponent!r}: the group sizes to that "
+                             "power are not all finite and positive")
+        return ("pow", exponent)
     if args.weights == "file":
         if args.weights_file is None:
             raise ParseError("--weights file needs --weights-file")

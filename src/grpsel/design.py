@@ -106,6 +106,11 @@ class GroupedDesign:
         """First internal column of each group."""
         return np.array([start for start, _ in self.groups])
 
+    @cached_property
+    def x_blocks(self) -> list:
+        """Each group's block ``X_j`` and its transpose, as views of ``X``."""
+        return [(self.X[:, a:a + d], self.X[:, a:a + d].T) for a, d in self.groups]
+
     def group_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-group sums of an internal-order vector of length p."""
         return np.add.reduceat(v, self.starts)

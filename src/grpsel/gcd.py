@@ -29,6 +29,16 @@ group by ``||X_m'X_k diff||/n <= ||diff||``; hence ``||z_j|| <= ||g_j|| +
 moved <= c_j * lam``, and every 2-norm threshold operator maps such a
 ``z_j`` to zero.  The iterates, the cycle count and the convergence test
 are those of the sweep that updates every group.
+
+Python floats.  A group update makes two numpy products with the group's
+block (``design.x_blocks``, sliced once per design): ``X_j'r`` when
+something has moved in the cycle, and ``r -= X_j @ diff`` when the group
+moves.  The rest, from ``z = X_j'r/n + b_j`` through the threshold to the
+move's largest entry and length, works on lists of floats with the IEEE
+operations of the numpy formulas; only the threshold's ``||z||**2`` is
+summed in another order (see ``solve_single_group``).  A move with a NaN
+entry has a NaN step, as ``np.max`` would give: it is not applied, and the
+cycle's largest move is NaN, so the fit cannot count as converged.
 """
 
 import math
@@ -212,6 +222,7 @@ def fit_gcd(
     n, X = design.n, design.X
     gamma, family = pen.gamma, pen.family
     bounds = [(start, start + size) for start, size in design.groups]
+    blocks = design.x_blocks
     thresholds = (design.cj * pen.lam).tolist()
 
     def sweep(b, r, note):
@@ -225,16 +236,24 @@ def fit_gcd(
                 if note:
                     note()
                 continue
-            # until something moves, r is the residual g was computed from
-            z = g[a:e] if moved == 0.0 else X[:, a:e].T @ r / n + b[a:e]
+            old = b[a:e].tolist()
+            if moved == 0.0:
+                z = g[a:e].tolist()  # r is still the residual g was computed from
+            else:
+                z = [c / n + bk for c, bk in zip(np.dot(blocks[j][1], r).tolist(), old)]
             new = solve_single_group(z, thresholds[j], gamma, family)
-            diff = new - b[a:e]
-            step = np.max(np.abs(diff))
+            diff = [v - w for v, w in zip(new, old)]
+            ss = 0.0
+            for v in diff:
+                ss += v * v
+            # a NaN move is a NaN step, as np.max would give: it is not
+            # applied, and it leaves delta NaN so the cycle cannot converge
+            step = ss if ss != ss else max(map(abs, diff))
             if step > 0:
-                r -= X[:, a:e] @ diff
+                r -= np.dot(blocks[j][0], np.array(diff))
                 b[a:e] = new
-                moved += math.sqrt(diff @ diff)
-            delta = max(delta, step)
+                moved += math.sqrt(ss)
+            delta = max(delta, step) if step == step else step
             if note:
                 note()
         return delta

@@ -131,14 +131,14 @@ def soft_threshold(z, t):
     return np.sign(z) * shrunk
 
 
-def soft_threshold_vec(z: np.ndarray, t: float, nz: float = None) -> np.ndarray:
+def soft_threshold_vec(z: np.ndarray, t: float) -> np.ndarray:
     """Multivariate soft threshold (1 - t/||z||)_+ * z.
 
     Shrinks the length of z by t, leaving its direction unchanged; returns
-    the zero vector when ||z|| <= t.  ``nz`` is ||z|| if the caller has it.
+    the zero vector when ||z|| <= t.
     """
     z = np.asarray(z, dtype=float)
-    nz = np.linalg.norm(z) if nz is None else nz
+    nz = np.linalg.norm(z)
     if nz == 0.0:
         return np.zeros_like(z)
     shrink = 1.0 - t / nz
@@ -212,38 +212,65 @@ def rho_prime(t, lam, gamma=None, family="l1"):
     return float(out[0]) if scalar else out
 
 
-def solve_single_group(z: np.ndarray, lam: float, gamma: float, family: str) -> np.ndarray:
+def _shrunk(z: list, t: float, nz: float) -> list:
+    # soft_threshold_vec of a list of floats whose norm is nz
+    if nz == 0.0:
+        return [0.0] * len(z)
+    shrink = 1.0 - t / nz
+    if shrink <= _TIE_EPS:
+        return [0.0] * len(z)
+    return [shrink * v for v in z]
+
+
+def solve_single_group(z, lam: float, gamma: float, family: str):
     """Exact minimizer of (1/2)||z - theta||**2 + rho(||theta||_2; lam, gamma).
 
     ``family`` is one of ``glasso``, ``gmcp`` (gamma > 1) or ``gscad``
     (gamma > 2).  ``gamma = inf`` routes the concave families to the group
     LASSO operator exactly.
+
+    The work is done in Python floats, which is what makes one group update
+    of ``fit_gcd`` cheap.  A list of floats in gives a list out; anything
+    else is read as a 1-d float array and gives an ndarray out, with the
+    same values.  Every product is the one of the elementwise numpy
+    formulas (``soft_threshold_vec``); only ``||z||**2`` is summed left to
+    right, without the fused multiply-adds of numpy's dot product, so the
+    result may differ from the numpy formulas by a few ulps, scaled by the
+    branch's factor ``gamma/(gamma-1)`` or ``(gamma-1)/(gamma-2)``.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    # ||z|| once; np.linalg.norm of a 1-d array is sqrt(z.dot(z)), bit for bit
-    nz = math.sqrt(z @ z)
+    as_list = type(z) is list
+    zs = z if as_list else np.asarray(z, dtype=float).tolist()
+    ss = 0.0
+    for v in zs:  # an explicit loop: from Python 3.12, sum() of floats is compensated
+        ss += v * v
+    nz = math.sqrt(ss)
     if family == "glasso":
-        return soft_threshold_vec(z, lam, nz)
-    if family == "gmcp":
+        out = _shrunk(zs, lam, nz)
+    elif family == "gmcp":
         if not gamma > 1:
             raise GammaOutOfRange("gmcp requires gamma > 1")
         if math.isinf(gamma):
-            return soft_threshold_vec(z, lam, nz)
-        if nz <= gamma * lam:
-            return (gamma / (gamma - 1)) * soft_threshold_vec(z, lam, nz)
-        return z.copy()
-    if family == "gscad":
+            out = _shrunk(zs, lam, nz)
+        elif nz <= gamma * lam:
+            c = gamma / (gamma - 1)
+            out = [c * v for v in _shrunk(zs, lam, nz)]
+        else:
+            out = list(zs)
+    elif family == "gscad":
         if not gamma > 2:
             raise GammaOutOfRange("gscad requires gamma > 2")
         if math.isinf(gamma) or nz <= 2 * lam:
-            return soft_threshold_vec(z, lam, nz)
-        if nz <= gamma * lam:
-            t = gamma * lam / (gamma - 1)
-            return ((gamma - 1) / (gamma - 2)) * soft_threshold_vec(z, t, nz)
-        return z.copy()
-    raise UnsupportedFamily(f"no single-group solution for family {family!r}")
+            out = _shrunk(zs, lam, nz)
+        elif nz <= gamma * lam:
+            c = (gamma - 1) / (gamma - 2)
+            out = [c * v for v in _shrunk(zs, gamma * lam / (gamma - 1), nz)]
+        else:
+            out = list(zs)
+    else:
+        raise UnsupportedFamily(f"no single-group solution for family {family!r}")
+    return out if as_list else np.array(out)
 
 
 def solve_single_group_columns(Z: np.ndarray, lam: float, gamma: float,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -453,12 +454,22 @@ def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
     ("fit", ["--penalty", "cmcp", "--lambda", "1e-170"]),
     ("fit", ["--penalty", "glasso", "--lambda", "0.1", "--weights", "pow",
              "--weights-exponent", "inf"]),
+    ("fit", ["--penalty", "glasso", "--lambda", "0.1", "--weights", "pow",
+             "--weights-exponent", "1e308"]),
+    ("fit", ["--penalty", "glasso", "--lambda", "0.1", "--weights", "pow",
+             "--weights-exponent=-1e308"]),
 ], ids=["lambda_abc", "lambda_negative", "lambda_nan", "lambda_inf", "gamma_x",
         "gmcp_gamma_0.5", "gbridge_gamma_2", "lambda2_negative", "lambda2_nan",
         "path_second_gamma", "path_lambda2_inf", "cv_second_gamma", "cmcp_lambda_underflow",
-        "weights_exponent_inf"])
+        "weights_exponent_inf", "weights_exponent_overflow", "weights_exponent_underflow"])
 def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags):
-    code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Warning" not in err
+    if any(flag.startswith("--weights-exponent") for flag in flags):
+        assert "--weights-exponent" in err
     assert list(tmp_path.glob("o*")) == []

@@ -16,9 +16,10 @@ from grpsel.bilevel import (
 from grpsel.design import GroupedDesign, build_design
 from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
-from grpsel.penalties import PenaltySpec, objective, solve_single_group
+from grpsel.penalties import PenaltySpec, objective
 
 from conftest import cross_orthogonal_design, gaussian_design, gaussian_problem
+from oracles import solve_single_group_reference
 
 
 def _hand_design():
@@ -71,7 +72,7 @@ class TestFitGcd:
         pen = PenaltySpec("gmcp", lam=0.2, gamma=2.7)
         fit = fit_gcd(design, pen)
         expected = np.concatenate([
-            solve_single_group(
+            solve_single_group_reference(
                 design.X[:, design.group_slice(j)].T @ design.y / design.n,
                 design.cj[j] * 0.2,
                 2.7,
@@ -150,7 +151,7 @@ class TestKktCheck:
         design = cross_orthogonal_design(30, [3, 2], seed=13)
         pen = PenaltySpec("glasso", lam=0.15)
         coef = np.concatenate([
-            solve_single_group(
+            solve_single_group_reference(
                 design.X[:, design.group_slice(j)].T @ design.y / design.n,
                 design.cj[j] * pen.lam,
                 math.inf,
@@ -485,6 +486,19 @@ def test_non_finite_step_never_reports_converged(solver):
     y[3] = np.nan
     nan_response = replace(design, y=y)
     assert not _reports_converged(lambda: fit(nan_response, np.zeros(design.p)))
+
+
+def test_gcd_nan_move_is_not_applied_and_never_converges(monkeypatch):
+    # a threshold value with a NaN entry (what a z_j overflowed to inf - inf
+    # gives) must leave b and r as they are, and the fit must not count as
+    # converged although r stays finite
+    from grpsel import gcd
+
+    design, _ = gaussian_design(50, [2, 3, 2], beta=[1.0, 1.0, 0, 0, 0, 0, 0], seed=1)
+    monkeypatch.setattr(gcd, "solve_single_group", lambda z, *args: z[:-1] + [math.nan])
+    fit = gcd.fit_gcd(design, PenaltySpec("gmcp", lam=0.1), max_iter=3)
+    assert not fit.converged and fit.iterations == 3
+    assert np.all(fit.coef == 0.0) and fit.residual_drift == 0.0
 
 
 @pytest.mark.parametrize("family", ["cmcp", "gbridge"])

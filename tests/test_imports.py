@@ -4,6 +4,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from grpsel import gcd
+from grpsel.penalties import PenaltySpec
+
+from conftest import gaussian_design
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
@@ -33,3 +40,19 @@ def test_traced_benchmark_patch_targets_resolve():
     for target, attr, _, _ in layers.PATCHES:
         owner = importlib.import_module(target) if isinstance(target, str) else target
         assert callable(getattr(owner, attr, None)), f"{target}.{attr}"
+
+
+def test_fit_gcd_calls_the_kernel_through_module_globals(monkeypatch):
+    # the traced benchmark counts group updates by wrapping
+    # grpsel.gcd.solve_single_group; a sweep that bound the kernel to a local
+    # name, or inlined it, would make that count read 0
+    class Called(Exception):
+        pass
+
+    def stub(*args):
+        raise Called
+
+    design, _ = gaussian_design(30, [2, 3], sigma=1.0, seed=0)
+    monkeypatch.setattr(gcd, "solve_single_group", stub)
+    with pytest.raises(Called):
+        gcd.fit_gcd(design, PenaltySpec("gmcp", lam=0.5 * gcd.lambda_max(design)))

@@ -16,7 +16,13 @@ from grpsel.penalties import (
     solve_single_group,
 )
 
-from oracles import hard_threshold, hard_threshold_star, rho_quadrature, single_group_oracle
+from oracles import (
+    hard_threshold,
+    hard_threshold_star,
+    rho_quadrature,
+    single_group_oracle,
+    solve_single_group_reference,
+)
 
 GROUP_FAMILIES = [("glasso", math.inf), ("gmcp", 2.7), ("gscad", 3.7)]
 
@@ -266,6 +272,83 @@ class TestSolveSingleGroup:
                 continue
             scad = solve_single_group(z, lam, 2 + 1e-7, "gscad")
             np.testing.assert_allclose(scad, hard_threshold_star(z, lam), atol=1e-4)
+
+    @pytest.mark.parametrize("family,gamma", GROUP_FAMILIES + [("gmcp", 1.5), ("gscad", 2.5)])
+    def test_list_in_list_out_array_in_array_out(self, family, gamma, rng):
+        for d in range(1, 7):
+            for scale in (0.1, 1.0, 3.0, 30.0):  # every branch of every family
+                z = rng.standard_normal(d) * scale
+                got_array = solve_single_group(z, 0.8, gamma, family)
+                got_list = solve_single_group(z.tolist(), 0.8, gamma, family)
+                assert type(got_array) is np.ndarray and got_array.shape == (d,)
+                assert type(got_list) is list and all(type(v) is float for v in got_list)
+                assert got_list == got_array.tolist()
+
+    @pytest.mark.parametrize("family", ["gmcp", "gscad"])
+    def test_infinite_gamma_is_group_lasso_bit_for_bit(self, family, rng):
+        for _ in range(200):
+            z = rng.standard_normal(int(rng.integers(1, 7))) * rng.uniform(0.1, 3.0)
+            lam = rng.uniform(0.05, 2.0)
+            for arg in (z, z.tolist()):
+                exact = solve_single_group(arg, lam, math.inf, family)
+                glasso = solve_single_group(arg, lam, math.inf, "glasso")
+                assert np.array_equal(exact, glasso)
+
+    @pytest.mark.parametrize("family,gamma", GROUP_FAMILIES + [("gmcp", 1.5), ("gscad", 2.5)])
+    def test_nan_input_gives_nan(self, family, gamma):
+        # a NaN norm fails every branch test: shrunk to all NaN, or z kept as is
+        for z in ([math.nan], [1.0, math.nan, 0.5]):
+            ref = solve_single_group_reference(np.array(z), 0.8, gamma, family)
+            for arg in (z, np.array(z)):
+                got = np.array(solve_single_group(arg, 0.8, gamma, family))
+                assert np.isnan(got).any()
+                np.testing.assert_array_equal(got, ref)
+
+
+def _branch_factor(family, gamma):
+    # the largest factor multiplying a shrink 1 - t/||z|| in the family's branches
+    if family == "glasso" or math.isinf(gamma):
+        return 1.0
+    if family == "gmcp":
+        return gamma / (gamma - 1)
+    return max(1.0, (gamma - 1) / (gamma - 2))
+
+
+def _family_gamma(family, *ranges):
+    return st.tuples(st.just(family), st.one_of(
+        st.just(math.inf), *(st.floats(lo, hi) for lo, hi in ranges)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    z=st.lists(st.floats(-10, 10), min_size=1, max_size=6),
+    lam=st.floats(1e-3, 5.0),
+    case=st.one_of(
+        st.just(("glasso", math.inf)),
+        _family_gamma("gmcp", (1 + 1e-9, 1 + 1e-3), (1.01, 10.0)),
+        _family_gamma("gscad", (2 + 1e-9, 2 + 1e-3), (2.01, 10.0)),
+    ),
+    norm=st.sampled_from(["free", "zero", "lam", "two_lam", "gamma_lam"]),
+)
+@example(z=[0.6, 0.8], lam=1.0, case=("glasso", math.inf), norm="free")
+@example(z=[3.0], lam=1.5, case=("gmcp", 2.0), norm="free")
+@example(z=[1.0, -2.0], lam=0.5, case=("gmcp", 1 + 1e-9), norm="gamma_lam")
+@example(z=[1.0, -2.0, 0.5], lam=0.5, case=("gscad", 2 + 1e-9), norm="two_lam")
+def test_kernel_matches_numpy_reference_within_ulps(z, lam, case, norm):
+    # the float kernel and the numpy formulas differ only in how ||z||**2 is
+    # summed, so they agree to a few ulps of ||z||, times the branch's factor
+    family, gamma = case
+    z = np.array(z)
+    nz = np.linalg.norm(z)
+    targets = {"zero": 0.0, "lam": lam, "two_lam": 2 * lam,
+               "gamma_lam": gamma * lam if math.isfinite(gamma) else lam}
+    if norm in targets:
+        z = z * (targets[norm] / nz) if nz > 0 else np.zeros_like(z)
+        nz = np.linalg.norm(z)
+    got = solve_single_group(z.tolist(), lam, gamma, family)
+    ref = solve_single_group_reference(z, lam, gamma, family)
+    tol = 16 * np.finfo(float).eps * _branch_factor(family, gamma) * nz
+    assert np.max(np.abs(np.array(got) - ref)) <= tol
 
 
 class TestHardThresholds:
