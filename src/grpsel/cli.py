@@ -36,16 +36,6 @@ from .theory import run_experiment
 EXIT_FAIL = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))  # shortest round-trip representation
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_grpsel_")
@@ -60,9 +50,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
+    """Rows of Python values, each cell written as ``str``.
+
+    A Python float's ``str`` is its shortest round-trip repr (``inf`` for
+    infinity); callers pass numpy data as ``.tolist()`` rows.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(str, row)) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -184,7 +178,8 @@ def _parse_gammas(text):
 
 
 def _load_problem(args):
-    """The command's gamma list, penalty template, column names and design."""
+    """The command's gamma list, penalty template, column names and design,
+    and the name of its grid's second column (``lambda2`` for sgl)."""
     gammas = _parse_gammas(args.gamma)
     try:
         if args.penalty == "sgl":
@@ -202,7 +197,7 @@ def _load_problem(args):
     labels = read_groups_csv(args.groups, names)
     design = build_design(X, y, labels, weights=_weights_arg(args, pen, labels),
                           orthonormalize=FAMILIES[pen.family].orthonormalized)
-    return gammas, pen, names, design
+    return gammas, pen, names, design, "lambda2" if pen.family == "sgl" else "gamma"
 
 
 def _lambda_value(args, design, pen):
@@ -251,16 +246,15 @@ def _report_nonconverged(k: int, total: int) -> None:
 
 
 def cmd_fit(args) -> int:
-    _, pen0, names, design = _load_problem(args)
+    _, pen0, names, design, second_name = _load_problem(args)
     lam = _lambda_value(args, design, pen0)
     pen = pen0.with_lam(lam, args.lambda2 if pen0.family == "sgl" else None)
     fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
-    second_name = "lambda2" if pen.family == "sgl" else "gamma"
     second_val = pen.lam2 if pen.family == "sgl" else pen.shape_param
     write_csv(
         args.out + "_coef.csv",
         ["lambda", second_name] + names,
-        [[fit.lam, second_val] + list(fit.beta)],
+        [[fit.lam, second_val] + fit.beta.tolist()],
     )
     write_json(
         args.out + "_fit.json",
@@ -276,7 +270,7 @@ def cmd_fit(args) -> int:
         },
     )
     print(
-        f"fit {pen.family}: lambda={_fmt(fit.lam)} objective={_fmt(fit.objective)} "
+        f"fit {pen.family}: lambda={fit.lam} objective={fit.objective} "
         f"nonzero={fit.n_nonzero} converged={fit.converged}"
     )
     return 0
@@ -287,8 +281,6 @@ def _path_config(args, gammas=None) -> PathConfig:
         raise ConfigError("--nlambda must be at least 2")
     if args.lambda_min_ratio is not None and not 0 < args.lambda_min_ratio < 1:
         raise ConfigError("--lambda-min-ratio must lie in (0, 1)")
-    if getattr(args, "folds", 2) < 2:
-        raise ConfigError("--folds must be at least 2")
     return PathConfig(
         n_lambda=args.nlambda,
         lambda_min_ratio=args.lambda_min_ratio,
@@ -301,54 +293,46 @@ def _path_config(args, gammas=None) -> PathConfig:
     )
 
 
-def _write_path_files(prefix, tag, design, names, lambda_max, second_name, rows):
-    """One coefficient file and one group-norm companion per path block."""
-    lam_max = lambda_max if lambda_max > 0 else 1.0
-    coef_header = ["lambda", "lambda_ratio", second_name] + names
-    uniq = np.unique(design.labels)
-    norm_header = ["lambda", "lambda_ratio", second_name] + [
-        f"group_{int(g)}" for g in uniq
-    ]
-    coef_rows, norm_rows = [], []
-    for (lam, second), fit in rows:
-        ratio = lam / lam_max
-        coef_rows.append([lam, ratio, second] + list(fit.beta))
-        norm_rows.append([lam, ratio, second] + list(group_norms(design, fit.beta)))
-    write_csv(f"{prefix}_path{tag}.csv", coef_header, coef_rows)
-    write_csv(f"{prefix}_norms{tag}.csv", norm_header, norm_rows)
-
-
 def cmd_path(args) -> int:
-    gammas, pen0, names, design = _load_problem(args)
+    gammas, pen0, names, design, second = _load_problem(args)
     path = solution_path(design, pen0, _path_config(args, gammas))
     _report_nonconverged(sum(not f.converged for f in path.fits), len(path.fits))
-    second = "lambda2" if pen0.family == "sgl" else "gamma"
-    rows = list(zip(path.grid, path.fits))
+    grid = np.array(path.grid)
+    lead = np.column_stack([grid[:, 0], grid[:, 0] / (path.lambda_max or 1.0), grid[:, 1]])
+    norms = np.array([group_norms(design, f.beta) for f in path.fits])
+    tables = {
+        "path": (names, np.hstack([lead, path.coef_matrix()])),
+        "norms": ([f"group_{g}" for g in np.unique(design.labels).tolist()],
+                  np.hstack([lead, norms])),
+    }
+    blocks = [("", slice(None))]
     if FAMILIES[pen0.family].orthonormalized and gammas and len(gammas) > 1:
-        for g in gammas:
-            tag = "_gamma" + ("inf" if math.isinf(g) else _fmt(float(g)))
-            block = [row for row in rows if row[0][1] == g]
-            _write_path_files(args.out, tag, design, names, path.lambda_max, second, block)
-        print(f"wrote {len(gammas)} path file pairs under prefix {args.out}")
-        return 0
-    _write_path_files(args.out, "", design, names, path.lambda_max, second, rows)
-    print(f"wrote path files under prefix {args.out}")
+        # solution_path lays out one equal-length block per gamma, in list order
+        size = len(path.grid) // len(gammas)
+        blocks = [(f"_gamma{g}", slice(k * size, (k + 1) * size))
+                  for k, g in enumerate(gammas)]
+    for kind, (columns, table) in tables.items():
+        header = ["lambda", "lambda_ratio", second] + columns
+        for tag, block in blocks:
+            # one row of Python floats at a time keeps the peak memory down
+            write_csv(f"{args.out}_{kind}{tag}.csv", header,
+                      (row.tolist() for row in table[block]))
+    written = f"{len(blocks)} path file pairs" if len(blocks) > 1 else "path files"
+    print(f"wrote {written} under prefix {args.out}")
     return 0
 
 
 def cmd_cv(args) -> int:
-    gammas, pen0, names, design = _load_problem(args)
+    if args.folds < 2:
+        raise ConfigError("--folds must be at least 2")
+    gammas, pen0, names, design, second = _load_problem(args)
     config = _path_config(args, gammas)
     report = kfold_cv(design, pen0, config, K=args.folds, seed=args.seed)
     _report_nonconverged(report.n_nonconverged, len(report.grid) * (report.n_folds + 1))
-    second = "lambda2" if pen0.family == "sgl" else "gamma"
     write_csv(
         args.out + "_cvgrid.csv",
         ["lambda", second, "mean_cv_error", "se"],
-        [
-            [lam, g, float(m), float(s)]
-            for (lam, g), m, s in zip(report.grid, report.mean_cv_error, report.se)
-        ],
+        np.column_stack([report.grid, report.mean_cv_error, report.se]).tolist(),
     )
     chosen_fit_min = report.path.fits[report.grid.index(report.chosen_min)]
     chosen_fit_1se = report.path.fits[report.grid.index(report.chosen_1se)]
@@ -368,8 +352,8 @@ def cmd_cv(args) -> int:
         },
     )
     print(
-        f"cv {report.family}: chosen_min lambda={_fmt(report.chosen_min[0])} "
-        f"chosen_1se lambda={_fmt(report.chosen_1se[0])}"
+        f"cv {report.family}: chosen_min lambda={report.chosen_min[0]} "
+        f"chosen_1se lambda={report.chosen_1se[0]}"
     )
     return 0
 
@@ -387,7 +371,7 @@ def cmd_verify_theory(args) -> int:
     if "cases" in report:
         for case in report["cases"]:
             print(f"{case['status']}: t={case['t']} k={case['k']} "
-                  f"empirical={_fmt(case['empirical'])} bound={_fmt(case['bound'])}")
+                  f"empirical={case['empirical']} bound={case['bound']}")
     status = report.get("status", "PASS" if report.get("pass") else "FAIL")
     print(f"{status}: {report['experiment']}")
     return EXIT_FAIL if status == "FAIL" else 0

@@ -96,11 +96,6 @@ class SolutionPath:
     def coef_matrix(self) -> np.ndarray:
         return np.array([f.beta for f in self.fits])
 
-    def group_norm_matrix(self, design) -> np.ndarray:
-        from .design import group_norms
-
-        return np.array([group_norms(design, f.beta) for f in self.fits])
-
 
 def lambda_max(design) -> float:
     """Smallest penalty level at which the solution is identically zero."""

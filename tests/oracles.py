@@ -600,3 +600,14 @@ def fit_sparse_group_lasso_reference(design, lam1, lam2, init=None, tol=1e-7,
         lam2=lam2,
         max_descent_violation=max_increase,
     )
+
+
+def fmt_reference(x) -> str:
+    """The CLI's former per-cell CSV encoder, with its type dispatch."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # shortest round-trip representation
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)

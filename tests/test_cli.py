@@ -1,10 +1,13 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from grpsel.cli import main, read_groups_csv, read_matrix_csv, read_vector_csv
+from grpsel.cli import main, read_groups_csv, read_matrix_csv, read_vector_csv, write_csv
+
+from oracles import fmt_reference
 
 
 @pytest.fixture
@@ -40,6 +43,26 @@ def test_simulate_deterministic_bytes(tmp_path):
               "--out", prefix])
     for suffix in ("_X.csv", "_y.csv", "_groups.csv", "_truth.csv"):
         assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+
+
+def _random_magnitudes(k, seed=0):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=k)
+    return (signs * rng.random(k) * 10.0 ** rng.integers(-325, 309, size=k)).tolist()
+
+
+@pytest.mark.parametrize("values", [
+    [0.0], [-0.0], [math.inf], [-math.inf], [math.nan], [5e-324], [-5e-324],
+    [1.7976931348623157e308], [1e16], [9999999999999998.0], [1e-4], [1e-5],
+    [0.1], [2.0], [0], [-7], [10**20], [True], [False],
+    _random_magnitudes(20_000),
+], ids=lambda v: repr(v[0]) if len(v) == 1 else f"random_{len(v)}")
+def test_csv_cells_match_the_reference_encoder(tmp_path, values):
+    out = str(tmp_path / "cells.csv")
+    write_csv(out, ["v"] * len(values), [values, values[::-1]])
+    rows = open(out, newline="").read().split("\n")[1:3]
+    assert rows == [",".join(map(fmt_reference, values)),
+                    ",".join(map(fmt_reference, values[::-1]))]
 
 
 def test_fit_at_lambda_max_writes_zeros(tmp_path, fig3_files):
@@ -82,6 +105,18 @@ def test_path_files_ordered_and_zero_first(tmp_path, fig3_files):
         nnames, norms = read_matrix_csv(out + "_norms" + tag + ".csv")
         assert nnames[3:] == [f"group_{j}" for j in range(2)]
         assert norms.shape[0] == 20
+
+
+def test_gamma_split_files_equal_single_gamma_runs(tmp_path, fig3_files):
+    both = str(tmp_path / "both")
+    args = ["path", *data_args(fig3_files), "--penalty", "gmcp", "--nlambda", "15"]
+    assert main([*args, "--gamma", "1.2,inf", "--out", both]) == 0
+    for gamma in ("1.2", "inf"):
+        alone = str(tmp_path / gamma)
+        assert main([*args, "--gamma", gamma, "--out", alone]) == 0
+        for kind in ("path", "norms"):
+            split = open(f"{both}_{kind}_gamma{gamma}.csv", "rb").read()
+            assert split == open(f"{alone}_{kind}.csv", "rb").read()
 
 
 def test_path_single_family_bridge(tmp_path, fig3_files):

@@ -13,7 +13,7 @@ from grpsel.bilevel import (
     fit_sparse_group_lasso,
     sgl_lambda_max,
 )
-from grpsel.design import GroupedDesign, build_design
+from grpsel.design import GroupedDesign, build_design, group_norms
 from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
 from grpsel.penalties import PenaltySpec, objective
@@ -175,7 +175,7 @@ class TestFitPath:
         assert path.grid[0][0] == pytest.approx(path.lambda_max)
         coefs = path.coef_matrix()
         assert np.all(np.isfinite(coefs))
-        norms = path.group_norm_matrix(design)
+        norms = np.array([group_norms(design, f.beta) for f in path.fits])
         assert norms.shape == (25, 3)
         assert np.all(norms[0] == 0.0)
 
