@@ -169,9 +169,12 @@ def _parse_gammas(text):
         if not part:
             continue
         try:
-            out.append(math.inf if part in ("inf", "Inf", "INF") else float(part))
+            value = float(part)
         except ValueError:
             raise ConfigError(f"--gamma: cannot parse {part!r} as a number") from None
+        if value in out:
+            raise ConfigError(f"--gamma: {value} is listed more than once")
+        out.append(value)
     if not out:
         raise ParseError("empty --gamma list")
     return out
@@ -254,13 +257,13 @@ def cmd_fit(args) -> int:
     write_csv(
         args.out + "_coef.csv",
         ["lambda", second_name] + names,
-        [[fit.lam, second_val] + fit.beta.tolist()],
+        [[pen.lam, second_val] + fit.beta.tolist()],
     )
     write_json(
         args.out + "_fit.json",
         {
             "penalty": pen.family,
-            "lambda": fit.lam,
+            "lambda": pen.lam,
             second_name: second_val,
             "objective": fit.objective,
             "iterations": fit.iterations,
@@ -270,7 +273,7 @@ def cmd_fit(args) -> int:
         },
     )
     print(
-        f"fit {pen.family}: lambda={fit.lam} objective={fit.objective} "
+        f"fit {pen.family}: lambda={pen.lam} objective={fit.objective} "
         f"nonzero={fit.n_nonzero} converged={fit.converged}"
     )
     return 0
@@ -328,7 +331,7 @@ def cmd_cv(args) -> int:
     gammas, pen0, names, design, second = _load_problem(args)
     config = _path_config(args, gammas)
     report = kfold_cv(design, pen0, config, K=args.folds, seed=args.seed)
-    _report_nonconverged(report.n_nonconverged, len(report.grid) * (report.n_folds + 1))
+    _report_nonconverged(report.n_nonconverged, len(report.grid) * (args.folds + 1))
     write_csv(
         args.out + "_cvgrid.csv",
         ["lambda", second, "mean_cv_error", "se"],
@@ -339,9 +342,9 @@ def cmd_cv(args) -> int:
     write_json(
         args.out + "_cv.json",
         {
-            "penalty": report.family,
-            "folds": report.n_folds,
-            "seed": report.seed,
+            "penalty": pen0.family,
+            "folds": args.folds,
+            "seed": args.seed,
             "fold_sizes": list(report.fold_sizes),
             "chosen_min": {"lambda": report.chosen_min[0], second: report.chosen_min[1],
                            "n_nonzero": chosen_fit_min.n_nonzero},
@@ -352,7 +355,7 @@ def cmd_cv(args) -> int:
         },
     )
     print(
-        f"cv {report.family}: chosen_min lambda={report.chosen_min[0]} "
+        f"cv {pen0.family}: chosen_min lambda={report.chosen_min[0]} "
         f"chosen_1se lambda={report.chosen_1se[0]}"
     )
     return 0

@@ -37,14 +37,11 @@ class CVReport:
     without converging.
     """
 
-    family: str
     grid: list
     mean_cv_error: np.ndarray
     se: np.ndarray
     chosen_min: tuple
     chosen_1se: tuple
-    n_folds: int
-    seed: int
     fold_sizes: tuple
     path: object
     n_nonconverged: int
@@ -112,14 +109,11 @@ def kfold_cv(
     # sparsest first: largest lambda, then grid order for determinism
     i_1se = min(candidates, key=lambda i: (-full_path.grid[i][0], i))
     return CVReport(
-        family=pen_template.family,
         grid=list(full_path.grid),
         mean_cv_error=mean_err,
         se=se,
         chosen_min=full_path.grid[i_min],
         chosen_1se=full_path.grid[i_1se],
-        n_folds=K,
-        seed=seed,
         fold_sizes=tuple(len(f) for f in folds),
         path=full_path,
         n_nonconverged=n_nonconverged,

@@ -51,19 +51,16 @@ class GroupedDesign:
         standardization was applied.
     orthonormalized : bool
         True when full group-level orthonormalization was applied.
-    X_centered : ndarray, shape (n, p)
-        Centered predictors in the caller's original column order.
     X_raw, y_raw
         The inputs exactly as given (caller's order), so row subsets can be
-        re-standardized without reconstruction roundoff.
+        re-standardized without reconstruction roundoff.  No centered copy
+        of the predictors is kept: ``predict`` centers ``X_raw`` itself.
     order : ndarray, shape (p,)
         ``order[k]`` is the original column index of internal column k.
     labels : ndarray, shape (p,)
         Group label of each column, in the caller's original order.
     y_mean, x_mean
         Centering offsets (original column order), needed for prediction.
-    weights_rule : tuple
-        Normalized form of the rule used to build ``cj`` (for refits).
     """
 
     y: np.ndarray
@@ -72,14 +69,12 @@ class GroupedDesign:
     cj: np.ndarray
     U: tuple
     orthonormalized: bool
-    X_centered: np.ndarray
     X_raw: np.ndarray
     y_raw: np.ndarray
     order: np.ndarray
     labels: np.ndarray
     y_mean: float
     x_mean: np.ndarray
-    weights_rule: tuple
 
     @property
     def n(self) -> int:
@@ -169,14 +164,15 @@ class GroupedDesign:
         """Same design with a replacement response (no re-centering).
 
         Intended for simulation experiments that redraw noise around a fixed
-        design; ``y_new`` is used exactly as given.
+        design; ``y_new`` is used exactly as given, and is also the raw
+        response (with offset 0) that ``rebuild_design`` and ``predict`` read.
         """
         y_new = np.asarray(y_new, dtype=float).ravel()
         if y_new.shape != (self.n,):
             raise DimensionMismatch("response length does not match the design")
         if not np.isfinite(y_new).all():
             raise NonFiniteInput("response contains NaN or infinite entries")
-        new = replace(self, y=y_new)
+        new = replace(self, y=y_new, y_raw=y_new, y_mean=0.0)
         # same factor tuple: the block form is computed once and shared
         new.__dict__["_block_cache"] = (self.U, self._blocks())
         return new
@@ -257,11 +253,11 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     groups = tuple((int(s), int(d)) for s, d in zip(starts, sizes))
 
-    Xg = Xc[:, order]
-    Xt = np.empty_like(Xg, order="F")
+    Xc = Xc[:, order]  # internal order; the caller-order copy is freed
+    Xt = np.empty_like(Xc, order="F")
     factors = []
     for j, (start, size) in enumerate(groups):
-        block = Xg[:, start:start + size]
+        block = Xc[:, start:start + size]
         if orthonormalize:
             if size > n:
                 raise SingularGroup(
@@ -292,15 +288,12 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
         if weights != "sqrt":
             raise ValueError(f"unknown weights rule {weights!r}")
         cj = np.sqrt(dims)
-        rule = ("sqrt",)
     elif isinstance(weights, tuple) and len(weights) == 2 and weights[0] == "pow":
         cj = dims ** float(weights[1])
-        rule = ("pow", float(weights[1]))
     else:
         cj = np.asarray(weights, dtype=float).ravel()
         if cj.shape != (J,):
             raise DimensionMismatch(f"need {J} group weights, got {cj.shape[0]}")
-        rule = ("custom", tuple(cj.tolist()))
     if not np.all(np.isfinite(cj) & (cj > 0)):
         raise DomainError(f"group weights must be finite and positive, got {cj.tolist()}")
 
@@ -311,34 +304,27 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
         cj=cj,
         U=tuple(factors),
         orthonormalized=bool(orthonormalize),
-        X_centered=Xc,
         X_raw=X,
         y_raw=y,
         order=order,
         labels=labels.copy(),
         y_mean=y_mean,
         x_mean=x_mean,
-        weights_rule=rule,
     )
 
 
 def rebuild_design(design: GroupedDesign, rows) -> GroupedDesign:
     """Rebuild a design from a row subset of the original data.
 
-    Re-centers and re-standardizes using only the selected rows, so factors
-    and weights are recomputed from scratch (no information from excluded
-    rows leaks in).
+    Re-centers and re-standardizes using only the selected rows (no
+    information from excluded rows leaks in).  The group weights depend
+    only on the group sizes, which a row subset keeps: ``cj`` carries over.
     """
-    weights = design.weights_rule
-    if weights[0] == "custom":
-        weights = np.array(weights[1])
-    elif weights[0] == "sqrt":
-        weights = "sqrt"
     return build_design(
         design.X_raw[rows],
         design.y_raw[rows],
         design.labels,
-        weights=weights,
+        weights=design.cj,
         orthonormalize=design.orthonormalized,
     )
 
@@ -357,7 +343,5 @@ def group_norms(design: GroupedDesign, beta: np.ndarray) -> np.ndarray:
 def predict(design: GroupedDesign, beta: np.ndarray, X_new=None) -> np.ndarray:
     """Fitted or predicted values for caller-coordinate coefficients."""
     beta = np.asarray(beta, dtype=float).ravel()
-    if X_new is None:
-        return design.y_mean + design.X_centered @ beta
-    X_new = np.asarray(X_new, dtype=float)
-    return design.y_mean + (X_new - design.x_mean) @ beta
+    X = design.X_raw if X_new is None else np.asarray(X_new, dtype=float)
+    return design.y_mean + (X - design.x_mean) @ beta

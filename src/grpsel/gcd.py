@@ -60,7 +60,8 @@ class FitResult:
 
     ``beta`` is reported in the caller's coordinates and column order;
     ``coef`` is the same solution in the design's internal (transformed)
-    coordinates, which is what warm starts and the objective use.
+    coordinates, which is what warm starts and the objective use.  The
+    penalty point is the solver's ``PenaltySpec`` or ``SolutionPath.grid``.
     """
 
     beta: np.ndarray
@@ -69,9 +70,6 @@ class FitResult:
     iterations: int
     converged: bool
     kkt_max_violation: float
-    lam: float
-    gamma: float = None
-    lam2: float = None
     max_descent_violation: float = None
     residual_drift: float = 0.0
 
@@ -88,7 +86,6 @@ class SolutionPath:
     gamma; for the sgl family the second entry is lam2 instead.
     """
 
-    family: str
     grid: list
     fits: list
     lambda_max: float
@@ -174,7 +171,6 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
             r = y - X @ b
 
     drift = float(np.max(np.abs(r - (y - X @ b)))) if p else 0.0
-    sgl = pen.family == "sgl"
     return FitResult(
         beta=design.back_transform(b),
         coef=b,
@@ -182,9 +178,6 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
         iterations=iterations,
         converged=converged,
         kkt_max_violation=stationarity(b),
-        lam=pen.lam,
-        gamma=None if sgl else pen.shape_param,
-        lam2=pen.lam2 if sgl else None,
         # no update noted (every group frozen) means no increase either
         max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
         residual_drift=drift,

@@ -165,5 +165,4 @@ def solution_path(
             points = [pen.with_lam(lam) for lam in lambdas]
             grid += [(p.lam, float(p.shape_param)) for p in points]
         fits += _chain(family, design, points, config, start, inits)
-    return SolutionPath(family=pen_template.family, grid=grid, fits=fits,
-                        lambda_max=float(lambdas[0]))
+    return SolutionPath(grid=grid, fits=fits, lambda_max=float(lambdas[0]))

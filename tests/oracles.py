@@ -360,8 +360,6 @@ def fit_gcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
         iterations=iterations,
         converged=converged,
         kkt_max_violation=kkt_reference(design, pen, b),
-        lam=lam,
-        gamma=gamma,
         max_descent_violation=max_increase,
     )
 
@@ -508,8 +506,6 @@ def fit_lcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
         iterations=iterations,
         converged=converged,
         kkt_max_violation=lcd_stationarity_reference(design, pen, b, frozen),
-        lam=pen.lam,
-        gamma=pen.shape_param,
         # no update noted (every group frozen) means no increase either
         max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
     )
@@ -596,8 +592,6 @@ def fit_sparse_group_lasso_reference(design, lam1, lam2, init=None, tol=1e-7,
         iterations=iterations,
         converged=converged,
         kkt_max_violation=sgl_kkt_reference(design, b, lam1, lam2),
-        lam=lam1,
-        lam2=lam2,
         max_descent_violation=max_increase,
     )
 

@@ -486,6 +486,8 @@ def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
     ("path", ["--penalty", "gmcp", "--gamma", "2.7,0.5"]),
     ("path", ["--penalty", "sgl", "--lambda2", "inf"]),
     ("cv", ["--penalty", "gscad", "--gamma", "inf,1.5"]),
+    ("path", ["--penalty", "gmcp", "--gamma", "1.2,1.2"]),
+    ("cv", ["--penalty", "gmcp", "--gamma", "inf,INF"]),
     ("fit", ["--penalty", "cmcp", "--lambda", "1e-170"]),
     ("fit", ["--penalty", "glasso", "--lambda", "0.1", "--weights", "pow",
              "--weights-exponent", "inf"]),
@@ -495,7 +497,8 @@ def test_verify_theory_fail_exits_3(tmp_path, capsys, monkeypatch):
              "--weights-exponent=-1e308"]),
 ], ids=["lambda_abc", "lambda_negative", "lambda_nan", "lambda_inf", "gamma_x",
         "gmcp_gamma_0.5", "gbridge_gamma_2", "lambda2_negative", "lambda2_nan",
-        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma", "cmcp_lambda_underflow",
+        "path_second_gamma", "path_lambda2_inf", "cv_second_gamma",
+        "gamma_repeated", "gamma_repeated_inf", "cmcp_lambda_underflow",
         "weights_exponent_inf", "weights_exponent_overflow", "weights_exponent_underflow"])
 def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags):
     with warnings.catch_warnings(record=True) as caught:

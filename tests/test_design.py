@@ -79,7 +79,7 @@ def test_back_transform_preserves_fitted_values():
     coef = rng.standard_normal(6)
     beta = design.back_transform(coef)
     np.testing.assert_allclose(
-        design.X_centered @ beta, design.X @ coef, atol=1e-10
+        (X - X.mean(axis=0)) @ beta, design.X @ coef, atol=1e-10
     )
     np.testing.assert_allclose(design.transform(beta), coef, atol=1e-10)
 
@@ -94,7 +94,7 @@ def test_noncontiguous_labels_report_in_original_order():
     beta_i = interleaved.back_transform(coef)
     beta_c = contiguous.back_transform(coef)
     np.testing.assert_allclose(beta_i, beta_c[[0, 2, 1, 3]], atol=1e-12)
-    np.testing.assert_allclose(interleaved.X_centered, X - X.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(X - interleaved.x_mean, X - X.mean(axis=0), atol=1e-12)
 
 
 def test_objective_round_trip_matches_weighted_norm_form():
@@ -106,7 +106,7 @@ def test_objective_round_trip_matches_weighted_norm_form():
     beta = rng.standard_normal(7)
     for family, gamma in [("glasso", None), ("gmcp", 2.5), ("gscad", 3.7)]:
         pen = PenaltySpec(family, lam=0.3, gamma=gamma)
-        resid = design.y - design.X_centered @ beta
+        resid = design.y - (X - X.mean(axis=0)) @ beta
         direct = 0.5 * resid @ resid / 50
         scalar = {"glasso": "l1", "gmcp": "mcp", "gscad": "scad"}[family]
         for j in range(design.J):
@@ -166,14 +166,12 @@ def test_objective_single_group_hand_case():
         cj=np.array([1.0]),
         U=(np.eye(2),),
         orthonormalized=True,
-        X_centered=X,
         X_raw=X,
         y_raw=y,
         order=np.array([0, 1]),
         labels=np.array([0, 0]),
         y_mean=0.0,
         x_mean=np.zeros(2),
-        weights_rule=("custom", (1.0,)),
     )
     beta = np.array([0.5, -0.25])
     lam = 0.3
@@ -247,15 +245,26 @@ def test_group_norms_and_predict():
     )
 
 
-def test_rebuild_design_uses_only_given_rows():
+@pytest.mark.parametrize("weights", ["sqrt", ("pow", 0.5), np.array([0.7, 2.0])],
+                         ids=["sqrt", "pow", "explicit"])
+def test_rebuild_design_uses_only_given_rows(weights):
     X, y, labels, _ = gaussian_problem(40, [2, 2], seed=12)
-    design = build_design(X, y, labels)
+    design = build_design(X, y, labels, weights=weights)
     rows = np.arange(30)
     sub = rebuild_design(design, rows)
-    direct = build_design(X[:30], y[:30], labels)
+    direct = build_design(X[:30], y[:30], labels, weights=weights)
+    assert np.all(sub.cj == design.cj)
     for a, b in zip(sub.U, direct.U):
         np.testing.assert_allclose(a, b, atol=1e-12)
     np.testing.assert_allclose(sub.y, direct.y, atol=1e-12)
+
+
+def test_rebuild_design_after_with_response_uses_the_new_response():
+    X, y, labels, _ = gaussian_problem(40, [2, 3], seed=12)
+    y2 = np.random.default_rng(12).standard_normal(40) + 3.0
+    rows = np.arange(5, 35)
+    sub = rebuild_design(build_design(X, y, labels).with_response(y2), rows)
+    assert np.all(sub.y == build_design(X[rows], y2[rows], labels).y)
 
 
 def test_with_response_swaps_y_exactly():

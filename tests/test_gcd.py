@@ -33,14 +33,12 @@ def _hand_design():
         cj=np.array([1.0]),
         U=(np.eye(2),),
         orthonormalized=True,
-        X_centered=X,
         X_raw=X,
         y_raw=y,
         order=np.array([0, 1]),
         labels=np.array([0, 0]),
         y_mean=0.0,
         x_mean=np.zeros(2),
-        weights_rule=("custom", (1.0,)),
     )
 
 
