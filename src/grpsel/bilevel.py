@@ -23,9 +23,31 @@ survive the mapping back to the caller's coordinates:
 
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
-  quadratic is majorized with the block Lipschitz constant, and the exact
-  proximal map of the additive penalty is the coordinate-wise soft
-  threshold followed by the group soft threshold.
+  quadratic is majorized with the block Lipschitz constant L_j (top
+  eigenvalue of ``X_j'X_j/n``, computed once), and the exact proximal map
+  is the coordinate-wise soft threshold followed by the group soft
+  threshold.  A visit makes one product ``X_j'r`` and at most one
+  ``r -= X_j @ diff``; the rest is Python floats with the IEEE operations
+  of the numpy formulas, but ``||soft(zt)||**2`` is summed left to right.
+  A NaN move is not applied and makes the cycle's largest move NaN.
+
+Zero-group skips, as in ``fit_gcd``: from one ``g = X'r/n`` per cycle, a
+zero group whose visit provably moves nothing is left alone (one ``note()``).
+sgl (Simon et al. 2013, JCGS 22:231): a visit keeps group j at zero when
+``||soft(X_j'r/n, lam1)|| <= lam2``; a move ``diff_k`` shifts ``X_j'r/n``
+by at most ``sqrt(L_j L_k)||diff_k||`` and soft thresholding is 1-Lipschitz,
+so ``||soft(g_j, lam1)|| + sqrt(L_j) * moved <= lam2``, with ``moved`` the
+sum of ``sqrt(L_k)||diff_k||`` over the cycle so far, is enough.  cmcp
+(lam > 0): each tangent weight at a zero group is ``lam*(lam*1.0)``, and a
+move ``diff_m`` shifts ``x_k'r/n`` by at most ``|diff_m|`` on standardized
+columns, so ``max_k |g_k| + shift <= lam**2`` (``shift``: the cycle's summed
+``|diff|``) is enough.  Rounding: a visit forms ``X_j'r/n`` with its own
+product, so each test adds ``SKIP_SLACK * (s + moved + lam1 + lam2)`` per
+entry (cmcp: ``lam**2`` for the levels; sgl: times ``sqrt(d_j)``), ``s =
+||r||/sqrt(n)`` at the cycle's start.  That exceeds the products' ``n u (s
++ moved)`` (``u = 2**-53``, any summation order), the float updates' ``(p +
+d) u (s + moved)`` and the thresholds' few ``u (lam1 + lam2)`` while n + p <
+2**21; tie rules only zero more.
 """
 
 import math
@@ -34,12 +56,13 @@ import numpy as np
 
 from .errors import UnsupportedFamily
 from .gcd import FitResult, SolutionPath, _descend, _start
-# ``objective`` is imported but not called here (the engine in ``gcd`` scores
-# every fit); the traced benchmark looks it up in this module by name.
+# ``objective`` and ``soft_threshold_vec`` are not called here; the traced
+# benchmark looks them up in this module by name.
 from .penalties import (  # noqa: F401
     PenaltySpec,
     _mcp,
     _mcp_prime,
+    _shrunk,
     objective,
     rho_prime,
     soft_threshold,
@@ -51,6 +74,7 @@ LCD_FAMILIES = ("gbridge", "cmcp")
 # Below this group 1-norm the bridge tangent slope is effectively unbounded
 # and the group is frozen at zero for the remainder of the fit.
 BRIDGE_FREEZE_TOL = 1e-10
+SKIP_SLACK = 2.0 ** -30  # the zero-group skips' rounding margin (module docstring)
 
 
 def composite_threshold(beta_group: np.ndarray, k: int, lam: float,
@@ -123,7 +147,8 @@ def fit_lcd(
         if freezing:
             frozen = design.group_sums(np.abs(init)) < BRIDGE_FREEZE_TOL
             init[np.repeat(frozen, design.dims)] = 0.0
-    if cmcp and lam > 0:
+    skipping = cmcp and lam > 0
+    if skipping:
         gi = pen.gamma_inner
         gil, two_gi, cap = gi * lam, 2 * gi, gi * lam**2 / 2
         # gamma*lam of each group's outer MCP, whose gamma is d_j*gamma_inner*lam/2
@@ -132,19 +157,13 @@ def fit_lcd(
         gm1 = pen.gamma - 1
         scales = [pen.gamma * v for v in (design.cj * lam).tolist()]
 
-    def group_factor(j, bj):
-        # cmcp: the outer MCP slope at the summed inner MCPs; gbridge: the
-        # 1-norm.  Same formulas and order as _mcp/_mcp_prime and the numpy
-        # sums, which add fewer than eight values left to right.
+    def group_factor(j, terms):
+        # cmcp: the outer MCP slope at the summed inner MCPs; gbridge: the 1-norm.
+        # The terms are added left to right, as numpy adds fewer than eight values.
         total = 0.0
-        if cmcp:
-            for v in bj:
-                t = abs(v)
-                total += lam * t - t * t / two_gi if t <= gil else cap
-            return lam * max(1.0 - total / outer_gl[j], 0.0)
-        for v in bj:
-            total += abs(v)
-        return total
+        for v in terms:
+            total += v
+        return lam * max(1.0 - total / outer_gl[j], 0.0) if cmcp else total
 
     def settle(b, r, a, Xj, bj, diffs, moved):
         # apply the pending coordinate moves to the residual and the coefficients
@@ -155,15 +174,28 @@ def fit_lcd(
         moved.clear()
 
     def sweep(b, r, note):
-        delta = 0.0
+        delta = shift = 0.0  # shift: the sum of |diff| over the cycle's moves
+        if skipping:
+            gmax = np.maximum.reduceat(np.abs(X.T @ r / n), design.starts).tolist()
+            nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
+            room = lam * lam - SKIP_SLACK * (math.sqrt(float(r @ r) / n) + lam * lam)
         for j, (a, e) in enumerate(bounds):
             if frozen[j]:
+                continue
+            if skipping and not nonzero[j] and gmax[j] + (1.0 + SKIP_SLACK) * shift <= room:
+                # the exact visit leaves this zero group at zero (see above)
+                if note:
+                    note()
                 continue
             Xj, G = X[:, a:e], grams[j]
             bj = b[a:e].tolist()
             c = (Xj.T @ r / n).tolist()
             diffs, moved = [0.0] * (e - a), []  # moves not yet applied to r
-            factor = group_factor(j, bj) if lam else 0.0
+            factor = 0.0
+            if lam:  # terms: the visit's inner MCPs (cmcp) or |b_k| (gbridge)
+                terms = ([lam * t - t * t / two_gi if t <= gil else cap for t in map(abs, bj)]
+                         if cmcp else list(map(abs, bj)))
+                factor = group_factor(j, terms)
             for k, Gk in enumerate(G):
                 # the slope of the penalty's tangent line in this coordinate
                 if not lam:
@@ -183,8 +215,12 @@ def fit_lcd(
                     diffs[k] = diff
                     moved.append(k)
                     delta = max(delta, abs(diff))
-                    if lam:
-                        factor = group_factor(j, bj)
+                    shift += abs(diff)
+                    # the cmcp sweep reads no factor after its last coordinate
+                    if lam and (k < e - a - 1 or freezing):
+                        t = abs(new)
+                        terms[k] = (lam * t - t * t / two_gi if t <= gil else cap) if cmcp else t
+                        factor = group_factor(j, terms)
                 if note:
                     b[a:e] = bj
                     note()
@@ -250,9 +286,7 @@ def fit_sparse_group_lasso(
     """Blockwise proximal descent for the additive l1 + group-l2 penalty.
 
     The problem is convex, so the converged point is a global minimizer
-    regardless of the starting value.  Per group, a gradient step with the
-    exact block Lipschitz constant (largest eigenvalue of the block Gram,
-    computed once) is followed by the two-stage proximal map.
+    regardless of the starting value.
     """
     pen = PenaltySpec("sgl", lam=lam1, lam2=lam2)
     if design.orthonormalized:
@@ -261,20 +295,42 @@ def fit_sparse_group_lasso(
         )
     n, X = design.n, design.X
     bounds = [(start, start + size) for start, size in design.groups]
-    lips = [float(np.linalg.eigvalsh(X[:, a:e].T @ X[:, a:e] / n)[-1]) for a, e in bounds]
+    blocks = design.x_blocks
+    lips = [float(np.linalg.eigvalsh(Xj.T @ Xj / n)[-1]) for Xj, _ in blocks]
+    # per group: n*L, both thresholds in the units of zt and sqrt(L); the skip's factors
+    steps = [(n * L, lam1 / L, lam2 / L, math.sqrt(L)) for L in lips]
+    slack = SKIP_SLACK * np.sqrt(design.dims)
+    rates = (np.sqrt(lips) + slack).tolist()
 
     def sweep(b, r, note):
-        delta = 0.0
-        for (a, e), L in zip(bounds, lips):
-            Xj = X[:, a:e]
-            zt = b[a:e] + Xj.T @ r / (n * L)
-            new = soft_threshold_vec(soft_threshold(zt, lam1 / L), lam2 / L)
-            diff = new - b[a:e]
-            step = np.max(np.abs(diff)) if diff.size else 0.0
+        need = (design.group_l2(np.maximum(np.abs(X.T @ r / n) - lam1, 0.0))
+                + slack * (math.sqrt(float(r @ r) / n) + lam1 + lam2)).tolist()
+        nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
+        delta = moved = 0.0
+        for j, (a, e) in enumerate(bounds):
+            if not nonzero[j] and need[j] + rates[j] * moved <= lam2:
+                # the exact update leaves this zero group at zero (see above)
+                if note:
+                    note()
+                continue
+            nL, t1, t2, root = steps[j]
+            old = b[a:e].tolist()
+            u = [soft_threshold(bk + c / nL, t1)
+                 for c, bk in zip(np.dot(blocks[j][1], r).tolist(), old)]
+            ss = 0.0
+            for v in u:
+                ss += v * v
+            new = _shrunk(u, t2, math.sqrt(ss))
+            diff = [v - w for v, w in zip(new, old)]
+            ss = 0.0
+            for v in diff:
+                ss += v * v
+            step = ss if ss != ss else max(map(abs, diff))  # NaN: not applied, delta NaN
             if step > 0:
-                r -= Xj @ diff
+                r -= np.dot(blocks[j][0], np.array(diff))
                 b[a:e] = new
-            delta = max(delta, step)
+                moved += root * math.sqrt(ss)
+            delta = max(delta, step) if step == step else step
             if note:
                 note()
         return delta

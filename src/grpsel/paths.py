@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bilevel, gcd
 from .bilevel import fit_path_lcd, fit_path_sgl, least_squares_init
+from .errors import ConfigError
 from .gcd import SolutionPath, default_min_ratio, fit_path, lambda_grid
 from .penalties import PenaltySpec
 
@@ -128,7 +129,7 @@ def solution_path(
     With ``group_lasso_init`` every 2-norm fit starts instead from the
     group LASSO solution at the same lambda (itself a chained path).
     ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
-    Non-converged points are recorded as such rather than aborting.
+    Non-converged points are recorded, not raised; a repeated gamma raises ``ConfigError``.
     """
     if config is None:
         config = PathConfig()
@@ -139,6 +140,9 @@ def solution_path(
     if sgl or config.gamma_grid is None:
         pens = [pen_template]
     else:
+        for i, g in enumerate(config.gamma_grid):
+            if g in config.gamma_grid[:i]:
+                raise ConfigError(f"gamma_grid lists {g} more than once")
         pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
     if lambdas is None:
         ratio = config.lambda_min_ratio

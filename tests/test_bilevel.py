@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpsel.bilevel import (
     BRIDGE_FREEZE_TOL,
@@ -29,6 +33,7 @@ from conftest import gaussian_design, gaussian_problem
 from oracles import (
     composite_mcp_value,
     fit_lcd_reference,
+    fit_sparse_group_lasso_reference,
     lasso_cd_reference,
     sparse_group_prox_oracle,
     subgradient_descent_reference,
@@ -345,3 +350,81 @@ def test_descent_check_runs_the_production_sweep(family, ratio):
         checked = fit_lcd(design, pen, check_descent=True)
         assert checked.iterations == plain.iterations
         assert np.array_equal(checked.coef, plain.coef)
+
+
+def _standardized_design(seed, sizes, extra_rows, correlation):
+    n = max(sizes) + extra_rows
+    rng = np.random.default_rng(seed)
+    X = (math.sqrt(1 - correlation) * rng.standard_normal((n, sum(sizes)))
+         + math.sqrt(correlation) * rng.standard_normal((n, 1)))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    return build_design(X, rng.standard_normal(n), labels, orthonormalize=False), rng
+
+
+_DESIGNS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=6),
+    extra_rows=st.integers(2, 20),
+    correlation=st.floats(0.0, 0.95),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_DESIGNS)
+def test_sgl_group_move_shifts_other_gradients_by_at_most_lipschitz_root(
+    seed, sizes, extra_rows, correlation
+):
+    # the premise of the sgl zero-group skip: moving group k by d moves
+    # X_j'r/n by ||X_j'X_k d||/n <= sqrt(L_j L_k)||d||, L the top eigenvalue
+    # of a block's Gram X'X/n
+    design, rng = _standardized_design(seed, sizes, extra_rows, correlation)
+    n, X = design.n, design.X
+    lips = np.array([np.linalg.eigvalsh(X[:, design.group_slice(j)].T
+                                        @ X[:, design.group_slice(j)] / n)[-1]
+                     for j in range(design.J)])
+    k = int(rng.integers(design.J))
+    d = rng.standard_normal(design.dims[k]) * 10.0 ** rng.uniform(-6, 3)
+    shift = design.group_l2(X.T @ (X[:, design.group_slice(k)] @ d) / n)
+    assert np.all(shift <= np.sqrt(lips * lips[k]) * np.linalg.norm(d) * (1 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_DESIGNS)
+def test_standardized_columns_have_correlations_at_most_one(
+    seed, sizes, extra_rows, correlation
+):
+    # the premise of the cmcp zero-group skip: moving coordinate m by d moves
+    # x_k'r/n by |x_k'x_m| |d| / n <= |d|
+    design, _ = _standardized_design(seed, sizes, extra_rows, correlation)
+    assert np.max(np.abs(design.X.T @ design.X / design.n)) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("family", ["cmcp", "sgl"])
+def test_zero_group_skip_thresholds_fewer_coordinates_with_the_same_fit(family, monkeypatch):
+    # on a sparse fit the sweeps leave most zero groups untouched, so fewer
+    # coordinates reach soft_threshold than coordinates x cycles; the fit is
+    # still that of the reference loop that visits every group
+    import grpsel.bilevel as bilevel
+
+    beta = np.zeros(60)
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(40, [3] * 20, beta=beta, sigma=1.0, correlation=0.3,
+                                seed=32, orthonormalize=False)
+    thresholded = []
+
+    def counting(z, t):
+        thresholded.append(np.size(z))
+        return soft_threshold(z, t)
+
+    monkeypatch.setattr(bilevel, "soft_threshold", counting)
+    if family == "cmcp":
+        pen = PenaltySpec("cmcp", lam=0.5 * cmcp_lambda_max(design))
+        got, ref = fit_lcd(design, pen), fit_lcd_reference(design, pen)
+    else:
+        lam = 0.5 * sgl_lambda_max(design)
+        got = fit_sparse_group_lasso(design, lam, lam)
+        ref = fit_sparse_group_lasso_reference(design, lam, lam)
+    assert (got.iterations, got.converged) == (ref.iterations, True)
+    np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10)
+    assert np.sum(design.group_l2(got.coef) == 0.0) >= design.J // 2
+    assert 0 < sum(thresholded) < design.p * got.iterations

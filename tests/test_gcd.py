@@ -499,6 +499,20 @@ def test_gcd_nan_move_is_not_applied_and_never_converges(monkeypatch):
     assert np.all(fit.coef == 0.0) and fit.residual_drift == 0.0
 
 
+def test_sgl_nan_move_is_not_applied_and_never_converges(monkeypatch):
+    # the same rule for the sparse group LASSO sweep: a NaN from the
+    # coordinate threshold must leave b and r as they are, and the fit must
+    # not count as converged
+    from grpsel import bilevel
+
+    design, _ = gaussian_design(50, [2, 3, 2], beta=[1.0, 1.0, 0, 0, 0, 0, 0], seed=1,
+                                orthonormalize=False)
+    monkeypatch.setattr(bilevel, "soft_threshold", lambda z, t: z * math.nan)
+    fit = bilevel.fit_sparse_group_lasso(design, 0.05, 0.05, max_iter=3)
+    assert not fit.converged and fit.iterations == 3
+    assert np.all(fit.coef == 0.0) and fit.residual_drift == 0.0
+
+
 @pytest.mark.parametrize("family", ["cmcp", "gbridge"])
 @pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
 def test_lcd_without_descent_check_matches_separate_loop_reference(case, family):

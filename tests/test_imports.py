@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from grpsel import gcd
+from grpsel import bilevel, gcd
 from grpsel.penalties import PenaltySpec
 
 from conftest import gaussian_design
@@ -56,3 +56,18 @@ def test_fit_gcd_calls_the_kernel_through_module_globals(monkeypatch):
     monkeypatch.setattr(gcd, "solve_single_group", stub)
     with pytest.raises(Called):
         gcd.fit_gcd(design, PenaltySpec("gmcp", lam=0.5 * gcd.lambda_max(design)))
+
+
+def test_fit_lcd_calls_the_threshold_through_module_globals(monkeypatch):
+    # the traced benchmark counts coordinate updates (bilevel.coord_updates)
+    # by wrapping grpsel.bilevel.soft_threshold
+    class Called(Exception):
+        pass
+
+    def stub(*args):
+        raise Called
+
+    design, _ = gaussian_design(30, [2, 3], sigma=1.0, seed=0, orthonormalize=False)
+    monkeypatch.setattr(bilevel, "soft_threshold", stub)
+    with pytest.raises(Called):
+        bilevel.fit_lcd(design, PenaltySpec("cmcp", lam=0.5 * bilevel.cmcp_lambda_max(design)))

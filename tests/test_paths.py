@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from grpsel.cv import DEFAULT_GAMMA_GRID, kfold_cv
+from grpsel.errors import ConfigError
 from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import PenaltySpec
 
@@ -35,6 +37,24 @@ def test_lcd_multi_gamma_sweep_concatenates_blocks():
     assert len(path.fits) == 10
     gammas = [g for _, g in path.grid]
     assert gammas == [2.0] * 5 + [3.0] * 5
+
+
+@pytest.mark.parametrize("family,gammas", [("gmcp", (1.2, 1.2)), ("cmcp", (2.0, 3.0, 2.0)),
+                                           ("gscad", (math.inf, 3.7, math.inf))])
+def test_repeated_gamma_is_rejected_before_any_fit(family, gammas, monkeypatch):
+    # a repeated gamma would fit the same grid twice; both entry points must
+    # refuse it, and before any solver runs
+    from grpsel import paths
+
+    design, _ = gaussian_design(40, [2, 2], sigma=0.5, seed=4, beta=[1.0, 0.0, 0.0, -0.5],
+                                orthonormalize=family != "cmcp")
+    monkeypatch.setattr(paths, "_chain", lambda *args, **kw: pytest.fail("a fit ran"))
+    config = PathConfig(n_lambda=5, gamma_grid=gammas)
+    repeated = str(gammas[-1])
+    with pytest.raises(ConfigError, match=repeated):
+        solution_path(design, PenaltySpec(family, lam=0.0), config)
+    with pytest.raises(ConfigError, match=repeated):
+        kfold_cv(design, PenaltySpec(family, lam=0.0), config, K=3, seed=0)
 
 
 def test_sgl_fixed_lambda2():
