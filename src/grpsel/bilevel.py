@@ -13,8 +13,8 @@ survive the mapping back to the caller's coordinates:
   uses the covariance updates of Friedman, Hastie & Tibshirani (2010,
   JSS 33(1)): per group visit one product ``c = X_j'r/n``, then for each
   coordinate in order ``z_k = c_k - sum_l G_kl * diff_l + b_k`` over the
-  coordinates already moved in the visit (``G = X_j'X_j/n``, formed once
-  per fit), and one ``r -= X_j @ diff`` at the end.  The tangent slopes are
+  coordinates already moved in the visit (``G = X_j'X_j/n``, cached per
+  design), and one ``r -= X_j @ diff`` at the end.  The tangent slopes are
   computed in Python floats with the formulas and order of operations of
   ``_mcp``/``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes
   its scalar path, so the iterates are those of the per-coordinate loop up
@@ -24,12 +24,16 @@ survive the mapping back to the caller's coordinates:
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
   quadratic is majorized with the block Lipschitz constant L_j (top
-  eigenvalue of ``X_j'X_j/n``, computed once), and the exact proximal map
+  eigenvalue of ``X_j'X_j/n``, cached per design), and the exact proximal map
   is the coordinate-wise soft threshold followed by the group soft
   threshold.  A visit makes one product ``X_j'r`` and at most one
   ``r -= X_j @ diff``; the rest is Python floats with the IEEE operations
   of the numpy formulas, but ``||soft(zt)||**2`` is summed left to right.
   A NaN move is not applied and makes the cycle's largest move NaN.
+
+Both sweeps run with the engine's Anderson extrapolation (``gcd``
+docstring), which keeps the current iterate's zeros at zero: frozen bridge
+groups stay frozen, and the skips below read ``b`` afresh each cycle.
 
 Zero-group skips, as in ``fit_gcd``: from one ``g = X'r/n`` per cycle, a
 zero group whose visit provably moves nothing is left alone (one ``note()``).
@@ -139,7 +143,7 @@ def fit_lcd(
     n, X = design.n, design.X
     lam, cmcp = pen.lam, pen.family == "cmcp"
     bounds = [(start, start + size) for start, size in design.groups]
-    grams = [(X[:, a:e].T @ X[:, a:e] / n).tolist() for a, e in bounds]
+    grams = design.block_grams
     freezing = pen.family == "gbridge" and lam > 0
     frozen = np.zeros(design.J, dtype=bool)
     if pen.family == "gbridge":
@@ -239,7 +243,7 @@ def fit_lcd(
 
     return _descend(design, pen, init, sweep,
                     lambda b: lcd_stationarity(design, pen, b, frozen),
-                    tol, max_iter, check_descent)
+                    tol, max_iter, check_descent, accelerate=True)
 
 
 def lcd_stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None) -> float:
@@ -296,7 +300,7 @@ def fit_sparse_group_lasso(
     n, X = design.n, design.X
     bounds = [(start, start + size) for start, size in design.groups]
     blocks = design.x_blocks
-    lips = [float(np.linalg.eigvalsh(Xj.T @ Xj / n)[-1]) for Xj, _ in blocks]
+    lips = design.block_lipschitz
     # per group: n*L, both thresholds in the units of zt and sqrt(L); the skip's factors
     steps = [(n * L, lam1 / L, lam2 / L, math.sqrt(L)) for L in lips]
     slack = SKIP_SLACK * np.sqrt(design.dims)
@@ -336,7 +340,7 @@ def fit_sparse_group_lasso(
         return delta
 
     return _descend(design, pen, init, sweep, lambda b: sgl_kkt(design, b, lam1, lam2),
-                    tol, max_iter, check_descent)
+                    tol, max_iter, check_descent, accelerate=True)
 
 
 def sgl_kkt(design, coef: np.ndarray, lam1: float, lam2: float) -> float:

@@ -106,6 +106,16 @@ class GroupedDesign:
         """Each group's block ``X_j`` and its transpose, as views of ``X``."""
         return [(self.X[:, a:a + d], self.X[:, a:a + d].T) for a, d in self.groups]
 
+    @cached_property
+    def block_grams(self) -> list:
+        """Each group's Gram ``X_j'X_j/n`` as rows of Python floats (read-only)."""
+        return [(Xt @ Xj / self.n).tolist() for Xj, Xt in self.x_blocks]
+
+    @cached_property
+    def block_lipschitz(self) -> list:
+        """Each group's block Lipschitz constant, the top eigenvalue of ``X_j'X_j/n``."""
+        return [float(np.linalg.eigvalsh(Xt @ Xj / self.n)[-1]) for Xj, Xt in self.x_blocks]
+
     def group_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-group sums of an internal-order vector of length p."""
         return np.add.reduceat(v, self.starts)

@@ -39,6 +39,15 @@ operations of the numpy formulas; only the threshold's ``||z||**2`` is
 summed in another order (see ``solve_single_group``).  A move with a NaN
 entry has a NaN step, as ``np.max`` would give: it is not applied, and the
 cycle's largest move is NaN, so the fit cannot count as converged.
+
+Anderson acceleration (Anderson 1965; for coordinate descent, Bertrand &
+Massias 2021).  For the bi-level sweeps, ``_descend`` extrapolates after
+every ``ANDERSON_K + 1`` cycles to the affine combination of the window's
+iterates with the smallest residual, keeping the current iterate's zeros at
+zero (so a bridge group frozen inside the window stays frozen).  The point
+is taken only if ``objective`` strictly decreases, so descent stays
+monotone; the window restarts either way.  ``fit_gcd`` does not extrapolate:
+its fits take about 8 cycles, too few for the window to pay off.
 """
 
 import math
@@ -49,6 +58,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from .penalties import (_GROUP_RHO, PenaltySpec, objective, rho_prime, solve_single_group,
                         solve_single_group_columns)
+
+# Anderson extrapolates from windows of ANDERSON_K + 1 cycle iterates; 0 turns it off.
+ANDERSON_K = 5
 
 # the 2-norm group families and the scalar penalty applied to each group norm
 _GROUP_PENALTY = {fam: kind for fam, (kind, norm) in _GROUP_RHO.items() if norm == "l2"}
@@ -126,8 +138,29 @@ def _start(design, init) -> np.ndarray:
     return b
 
 
+def _extrapolate(window):
+    """The Anderson point of the window's K+1 iterates; None when the system fails.
+
+    With ``U`` the K successive differences, the weights ``c`` summing to one
+    that minimize ``||U'c||`` are ``(UU')^{-1} 1`` normalized.  The point is
+    ``sum_k c_k x_k`` over the last K iterates, zero wherever the last one is.
+    """
+    iterates = np.array(window)
+    U = np.diff(iterates, axis=0)
+    try:
+        z = np.linalg.solve(U @ U.T, np.ones(len(U)))
+    except np.linalg.LinAlgError:
+        return None  # a singular system
+    total = float(z.sum())
+    if not (np.isfinite(z).all() and total != 0.0):
+        return None
+    point = z / total @ iterates[1:]
+    point[iterates[-1] == 0.0] = 0.0
+    return point
+
+
 def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
-             check_descent) -> FitResult:
+             check_descent, accelerate=False) -> FitResult:
     """The cycle loop shared by every solver.
 
     ``sweep(b, r, note)`` runs one cycle over the groups, updating the
@@ -138,6 +171,9 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
     is declared when no coefficient moves by more than ``tol`` over a cycle;
     if ``max_iter`` cycles pass without that, or the residual turns
     non-finite, the last iterate is returned with ``converged=False``.
+    With ``accelerate``, every ``ANDERSON_K + 1`` unconverged cycles end in
+    an Anderson attempt (module docstring).  An accepted point refreshes
+    ``r`` and is ``note()``d; a singular or non-finite system skips it.
     """
     p, X, y = design.p, design.X, design.y
     b = _start(design, init)
@@ -158,6 +194,7 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
 
     converged = False
     iterations = 0
+    window, size = [], ANDERSON_K + 1 if accelerate and ANDERSON_K else 0
     for it in range(1, max_iter + 1):
         iterations = it
         delta = sweep(b, r, note)
@@ -166,6 +203,15 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
         if delta <= tol:
             converged = True
             break
+        if size:
+            window.append(b.copy())
+            if len(window) == size:
+                point, window = _extrapolate(window), []
+                if point is not None and objective(design, point, pen) < objective(design, b, pen):
+                    b[:] = point
+                    r = y - X @ b
+                    if note:
+                        note()
         if it % 100 == 0:
             # guard against floating-point drift in the running residual
             r = y - X @ b

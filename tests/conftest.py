@@ -45,3 +45,40 @@ def cross_orthogonal_design(n, sizes, y=None, seed=0, weights="sqrt"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def assert_close_to_reference(got, ref, where=""):
+    """An accelerated fit against the step-for-step reference loop's fit.
+
+    Extrapolation changes the path to the minimum, not the minimum: the
+    objective agrees to 1e-12 relative, the coefficients to 1e-6, the zero
+    pattern exactly, and the stationarity residual is at most 1e-6.
+    """
+    assert got.converged, where
+    assert abs(got.objective - ref.objective) <= 1e-12 * abs(ref.objective), where
+    np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-6, err_msg=where)
+    assert np.array_equal(got.coef == 0.0, ref.coef == 0.0), where
+    assert got.kkt_max_violation <= 1e-6, where
+
+
+def record_extrapolations(monkeypatch):
+    """A list that collects (window, point) for every Anderson attempt."""
+    from grpsel import gcd
+
+    calls, real = [], gcd._extrapolate
+
+    def recording(window):
+        point = real(window)
+        calls.append(([w.copy() for w in window], point))
+        return point
+
+    monkeypatch.setattr(gcd, "_extrapolate", recording)
+    return calls
+
+
+def accepted_extrapolations(design, pen, calls):
+    """The recorded attempts whose point the descent took: a strictly lower objective."""
+    from grpsel.penalties import objective
+
+    return [(window, point) for window, point in calls if point is not None
+            and objective(design, point, pen) < objective(design, window[-1], pen)]

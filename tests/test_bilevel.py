@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grpsel import gcd
 from grpsel.bilevel import (
     BRIDGE_FREEZE_TOL,
     bridge_lambda_upper,
@@ -29,7 +30,8 @@ from grpsel.penalties import (
 )
 from grpsel.scenarios import ScenarioSpec, make_scenario
 
-from conftest import gaussian_design, gaussian_problem
+from conftest import (accepted_extrapolations, assert_close_to_reference, gaussian_design,
+                      gaussian_problem, record_extrapolations)
 from oracles import (
     composite_mcp_value,
     fit_lcd_reference,
@@ -298,7 +300,7 @@ def test_descent_check_without_updates_reports_zero():
     assert fit.max_descent_violation == 0.0
 
 
-def test_bridge_freeze_applies_pending_moves_to_the_residual():
+def _pending_freeze_start():
     # group 1 starts at (0.3, 2e-10, 0): the first visit zeroes coordinate 0,
     # leaving the 1-norm just above the freeze level, then zeroes coordinate
     # 1 and freezes the group while the move of coordinate 0 is still
@@ -308,13 +310,51 @@ def test_bridge_freeze_applies_pending_moves_to_the_residual():
                                 orthonormalize=False)
     init = least_squares_init(design)
     init[3:6] = [0.3, 2 * BRIDGE_FREEZE_TOL, 0.0]
-    pen = PenaltySpec("gbridge", lam=0.1)
+    return design, init, PenaltySpec("gbridge", lam=0.1)
+
+
+def test_bridge_freeze_applies_pending_moves_to_the_residual(monkeypatch):
+    design, init, pen = _pending_freeze_start()
+    monkeypatch.setattr(gcd, "ANDERSON_K", 0)  # step for step: no extrapolation
     got = fit_lcd(design, pen, init=init)
     ref = fit_lcd_reference(design, pen, init=init)
     assert got.residual_drift <= 1e-12
     assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
     np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10)
     assert not np.any(got.coef[3:6])
+
+
+def test_accelerated_bridge_freeze_matches_the_reference():
+    # the twin of the test above with Anderson extrapolation on
+    design, init, pen = _pending_freeze_start()
+    got = fit_lcd(design, pen, init=init)
+    assert_close_to_reference(got, fit_lcd_reference(design, pen, init=init))
+    assert got.residual_drift <= 1e-12
+    assert not np.any(got.coef[3:6])
+
+
+def test_bridge_group_frozen_between_extrapolations_stays_exactly_zero(monkeypatch):
+    # group 1 freezes after the first extrapolation attempt, late inside the
+    # second window; the accepted point combines iterates in which the group
+    # was nonzero, but a coordinate that is zero in the current iterate stays
+    # zero; without that rule the point is accepted here and leaves the
+    # frozen group at a nonzero value for good (p = 40 > n = 30)
+    beta = np.array([1.0, -0.8, 0.6, 0.5, 0.0, -0.5] + [0.0] * 34)
+    design, _ = gaussian_design(30, [2] * 20, beta=beta, sigma=0.5, correlation=0.3,
+                                seed=28, orthonormalize=False)
+    top = bridge_lambda_upper(design, PenaltySpec("gbridge", lam=0.0))
+    pen = PenaltySpec("gbridge", lam=0.1 * top)
+    calls = record_extrapolations(monkeypatch)
+    fit = fit_lcd(design, pen)
+    frozen_inside = [
+        j for window, _ in accepted_extrapolations(design, pen, calls[1:])
+        for j in range(design.J)
+        if not np.any(window[-1][design.group_slice(j)])
+        and any(np.any(w[design.group_slice(j)]) for w in window[1:])
+    ]
+    assert fit.converged and len(calls) >= 2 and frozen_inside
+    for j in frozen_inside:
+        assert np.all(fit.coef[design.group_slice(j)] == 0.0)
 
 
 def test_cmcp_descent_check_on_correlated_wide_design():
@@ -399,6 +439,14 @@ def test_standardized_columns_have_correlations_at_most_one(
     assert np.max(np.abs(design.X.T @ design.X / design.n)) <= 1 + 1e-12
 
 
+def _sparse_fit_design():
+    beta = np.zeros(60)
+    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
+    design, _ = gaussian_design(40, [3] * 20, beta=beta, sigma=1.0, correlation=0.3,
+                                seed=32, orthonormalize=False)
+    return design
+
+
 @pytest.mark.parametrize("family", ["cmcp", "sgl"])
 def test_zero_group_skip_thresholds_fewer_coordinates_with_the_same_fit(family, monkeypatch):
     # on a sparse fit the sweeps leave most zero groups untouched, so fewer
@@ -406,10 +454,7 @@ def test_zero_group_skip_thresholds_fewer_coordinates_with_the_same_fit(family, 
     # still that of the reference loop that visits every group
     import grpsel.bilevel as bilevel
 
-    beta = np.zeros(60)
-    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
-    design, _ = gaussian_design(40, [3] * 20, beta=beta, sigma=1.0, correlation=0.3,
-                                seed=32, orthonormalize=False)
+    design = _sparse_fit_design()
     thresholded = []
 
     def counting(z, t):
@@ -417,6 +462,7 @@ def test_zero_group_skip_thresholds_fewer_coordinates_with_the_same_fit(family, 
         return soft_threshold(z, t)
 
     monkeypatch.setattr(bilevel, "soft_threshold", counting)
+    monkeypatch.setattr(gcd, "ANDERSON_K", 0)  # step for step: no extrapolation
     if family == "cmcp":
         pen = PenaltySpec("cmcp", lam=0.5 * cmcp_lambda_max(design))
         got, ref = fit_lcd(design, pen), fit_lcd_reference(design, pen)
@@ -428,3 +474,36 @@ def test_zero_group_skip_thresholds_fewer_coordinates_with_the_same_fit(family, 
     np.testing.assert_allclose(got.coef, ref.coef, rtol=0, atol=1e-10)
     assert np.sum(design.group_l2(got.coef) == 0.0) >= design.J // 2
     assert 0 < sum(thresholded) < design.p * got.iterations
+
+
+@pytest.mark.parametrize("family", ["cmcp", "sgl"])
+def test_accelerated_zero_group_skip_fit_matches_the_reference(family):
+    # the twin of the test above with Anderson extrapolation on
+    design = _sparse_fit_design()
+    if family == "cmcp":
+        pen = PenaltySpec("cmcp", lam=0.5 * cmcp_lambda_max(design))
+        got, ref = fit_lcd(design, pen), fit_lcd_reference(design, pen)
+    else:
+        lam = 0.5 * sgl_lambda_max(design)
+        got = fit_sparse_group_lasso(design, lam, lam)
+        ref = fit_sparse_group_lasso_reference(design, lam, lam)
+    assert_close_to_reference(got, ref)
+    assert got.iterations < ref.iterations
+
+
+def test_acceleration_converges_where_the_plain_sweep_stops_at_max_iter(monkeypatch):
+    # correlated composite MCP (n = 100, 12 groups of 4, correlation 0.7),
+    # warm-started from the level above: the plain sweep needs about 1,200
+    # cycles, the accelerated one about 240
+    beta = np.zeros(48)
+    beta[:12] = np.tile([1.0, -0.6, 0.4, 0.0], 3)
+    design, _ = gaussian_design(100, [4] * 12, beta=beta, correlation=0.7, seed=0,
+                                orthonormalize=False)
+    top = cmcp_lambda_max(design)
+    warm = fit_lcd(design, PenaltySpec("cmcp", lam=0.12 * top)).coef
+    pen = PenaltySpec("cmcp", lam=0.09 * top)
+    fast = fit_lcd(design, pen, init=warm, max_iter=600)
+    monkeypatch.setattr(gcd, "ANDERSON_K", 0)
+    plain = fit_lcd(design, pen, init=warm, max_iter=600)
+    assert fast.converged and fast.kkt_max_violation <= 1e-6
+    assert not plain.converged and plain.iterations == 600

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grpsel import gcd
 from grpsel.bilevel import (
     bridge_lambda_upper,
     cmcp_lambda_max,
@@ -18,7 +19,9 @@ from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
 from grpsel.penalties import PenaltySpec, objective
 
-from conftest import cross_orthogonal_design, gaussian_design, gaussian_problem
+from conftest import (accepted_extrapolations, assert_close_to_reference,
+                      cross_orthogonal_design, gaussian_design, gaussian_problem,
+                      record_extrapolations)
 from oracles import solve_single_group_reference
 
 
@@ -381,11 +384,8 @@ _BILEVEL_LEVELS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(_BILEVEL_LEVELS))
-@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
-def test_bilevel_fits_match_separate_loop_reference(case, family):
-    from oracles import fit_lcd_reference, fit_sparse_group_lasso_reference
-
+def _bilevel_design(case, family):
+    """A standardized reference design for a bi-level family and the top of its grid."""
     spec = _REFERENCE_DESIGNS[case]
     beta = np.zeros(sum(spec["sizes"]))
     beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
@@ -400,6 +400,16 @@ def test_bilevel_fits_match_separate_loop_reference(case, family):
         top = cmcp_lambda_max(design)
     else:
         top = sgl_lambda_max(design)
+    return design, top
+
+
+@pytest.mark.parametrize("family", sorted(_BILEVEL_LEVELS))
+@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
+def test_bilevel_fits_match_separate_loop_reference(case, family, monkeypatch):
+    from oracles import fit_lcd_reference, fit_sparse_group_lasso_reference
+
+    monkeypatch.setattr(gcd, "ANDERSON_K", 0)  # step for step: no extrapolation
+    design, top = _bilevel_design(case, family)
     # the stationarity residual is a difference of gradient entries and
     # weights of about this size
     scale = float(np.max(np.abs(design.X.T @ design.y))) / design.n
@@ -428,6 +438,68 @@ def test_bilevel_fits_match_separate_loop_reference(case, family):
                                ref.objective), where
         previous = ref.coef
     assert np.any(previous), "the smallest level should give a nonzero fit"
+
+
+def test_extrapolation_solves_linear_iterations_and_skips_failed_systems():
+    # on a linear contraction the Anderson point of six iterates lands much
+    # closer to the fixed point than the last iterate; a window that does not
+    # move (a singular system) or holds a non-finite iterate gives no point
+    rng = np.random.default_rng(0)
+    A, c = 0.1 * rng.standard_normal((8, 8)), rng.standard_normal(8)
+    fixed = np.linalg.solve(np.eye(8) - A, c)
+    x, window = np.zeros(8), []
+    for _ in range(10):
+        x = A @ x + c
+        window = [*window, x][-(gcd.ANDERSON_K + 1):]
+    point = gcd._extrapolate(window)
+    assert np.max(np.abs(point - fixed)) < 1e-2 * np.max(np.abs(x - fixed))
+    assert gcd._extrapolate([x] * len(window)) is None
+    assert gcd._extrapolate([x + np.nan, *window[1:]]) is None
+
+
+TWIN_TOL = 1e-9
+
+
+@pytest.mark.parametrize("family", sorted(_BILEVEL_LEVELS))
+@pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
+def test_accelerated_bilevel_fits_match_separate_loop_reference(case, family, monkeypatch):
+    # the twin of the two step-for-step tests (this one and the LCD test
+    # without check_descent) with Anderson extrapolation on: the same
+    # designs, levels and starts reach the reference loop's minimum, and
+    # with check_descent neither an update nor an accepted extrapolation
+    # raises the objective beyond roundoff.  Both sides stop at TWIN_TOL: at
+    # the default 1e-7 the reference's slow p>n cmcp fits stop up to 1.9e-6
+    # away from the minimum, farther than the coefficient tolerance
+    from oracles import fit_lcd_reference, fit_sparse_group_lasso_reference
+
+    design, top = _bilevel_design(case, family)
+    calls = record_extrapolations(monkeypatch)
+    accepted = 0
+    previous = None
+    for ratio in _BILEVEL_LEVELS[family]:
+        lam = ratio * top
+        pen = PenaltySpec(family, lam=lam, lam2=lam if family == "sgl" else 0.0)
+        for init in [None] if previous is None else [None, previous]:
+            if family == "sgl":
+                ref = fit_sparse_group_lasso_reference(design, lam, lam, init=init, tol=TWIN_TOL)
+            else:
+                ref = fit_lcd_reference(design, pen, init=init, tol=TWIN_TOL)
+            for check in (False, True):
+                calls.clear()
+                if family == "sgl":
+                    got = fit_sparse_group_lasso(design, lam, lam, init=init, tol=TWIN_TOL,
+                                                 check_descent=check)
+                else:
+                    got = fit_lcd(design, pen, init=init, tol=TWIN_TOL, check_descent=check)
+                where = (f"{case} {family} ratio={ratio} warm={init is not None} "
+                         f"check_descent={check}")
+                assert_close_to_reference(got, ref, where)
+                assert got.residual_drift <= 1e-12, where
+                if check:
+                    assert got.max_descent_violation <= 1e-12 * ref.objective, where
+                    accepted += len(accepted_extrapolations(design, pen, calls))
+        previous = ref.coef
+    assert accepted > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,24 +587,14 @@ def test_sgl_nan_move_is_not_applied_and_never_converges(monkeypatch):
 
 @pytest.mark.parametrize("family", ["cmcp", "gbridge"])
 @pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
-def test_lcd_without_descent_check_matches_separate_loop_reference(case, family):
+def test_lcd_without_descent_check_matches_separate_loop_reference(case, family, monkeypatch):
     # without check_descent the LCD sweep applies each group's moves to the
     # residual at once; the iterates must still be those of the
     # per-coordinate reference loop
     from oracles import fit_lcd_reference
 
-    spec = _REFERENCE_DESIGNS[case]
-    beta = np.zeros(sum(spec["sizes"]))
-    beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
-    design, _ = gaussian_design(
-        spec["n"], spec["sizes"], beta=beta, sigma=1.0, correlation=0.3,
-        seed=spec["seed"], orthonormalize=False,
-        weights=("pow", 0.5) if family == "gbridge" else "sqrt",
-    )
-    if family == "gbridge":
-        top = bridge_lambda_upper(design, PenaltySpec("gbridge", lam=0.0))
-    else:
-        top = cmcp_lambda_max(design)
+    monkeypatch.setattr(gcd, "ANDERSON_K", 0)  # step for step: no extrapolation
+    design, top = _bilevel_design(case, family)
     previous = None
     for ratio in _BILEVEL_LEVELS[family]:
         pen = PenaltySpec(family, lam=ratio * top)
