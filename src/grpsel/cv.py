@@ -2,19 +2,22 @@
 
 Each fold re-centers and re-standardizes from its own training rows only,
 fits the full path on the shared penalty grid, and scores squared
-prediction error on the held-out rows.  AIC/BIC-style criteria are not
-offered: degrees-of-freedom estimates for these fits lean on the least
-squares solution, which does not exist when p >> n.
+prediction error on the held-out rows; the K + 1 paths run in forked
+processes, one per usable CPU.  AIC/BIC-style criteria are not offered:
+degrees-of-freedom estimates for these fits lean on the least squares
+solution, which does not exist when p >> n.
 """
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .design import GroupedDesign, predict, rebuild_design
-from .errors import FoldTooSmall
-from .paths import PathConfig, solution_path
+from .errors import FoldTooSmall, GrpselError
+from .paths import PathConfig, path_grid, solution_path
 from .penalties import PenaltySpec
 
 # joint (lambda, gamma) selection grids for the concave 2-norm families;
@@ -53,9 +56,58 @@ def fold_assignments(n: int, K: int, seed: int):
         raise FoldTooSmall("need at least two folds")
     if K > n:
         raise FoldTooSmall(f"cannot form {K} folds from {n} observations")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, K)]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may use; 1 where unknown (every platform that knows can fork)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _forked_map(fn, n_jobs: int) -> list:
+    """``[fn(j) for j in range(n_jobs)]``; process k of w = CPU count runs jobs k, k + w, ...
+
+    Process 0 is the caller, the others are forked and pickle their outcomes
+    into a pipe.  All are reaped before the lowest failing job's error is raised.
+    """
+    w = min(_cpu_count(), n_jobs)
+    children, outcomes = [], []
+
+    def share(first):  # (job, exception, result) triples up to the first failure
+        done = []
+        for j in range(first, n_jobs, w):
+            try:
+                done.append((j, None, fn(j)))
+            except Exception as exc:
+                return done + [(j, exc, None)]
+        return done
+
+    try:
+        for first in range(1, w):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:  # never returns into the caller's stack
+                try:
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pickle.dump(share(first), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, read_end, first))
+        outcomes += share(0)
+    finally:
+        for pid, read_end, first in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            lost = GrpselError(f"cross-validation folds {[*range(first, n_jobs, w)]} lost: "
+                               f"their process ended with returncode {status}")
+            outcomes += pickle.loads(data) if status == 0 else [(first, lost, None)]
+    failed = [(j, exc) for j, exc, _ in outcomes if exc is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
+    return [result for _, _, result in sorted(outcomes, key=lambda outcome: outcome[0])]
 
 
 def kfold_cv(
@@ -69,45 +121,42 @@ def kfold_cv(
 
     The grid is fixed from the full data so every fold scores the same
     points; fold designs are rebuilt from raw training rows, so no held-out
-    information enters the centering or the group factors.
+    information enters the centering or the group factors.  Grid and folds
+    are checked before any fit; fold paths run in forked children (``_forked_map``).
     """
     if config is None:
         config = PathConfig()
     if config.gamma_grid is None and pen_template.family in DEFAULT_GAMMA_GRID:
         config = replace(config, gamma_grid=DEFAULT_GAMMA_GRID[pen_template.family])
-    full_path = solution_path(design, pen_template, config)
-    lambdas = np.array(sorted({lam for lam, _ in full_path.grid}, reverse=True))
+    lambdas = path_grid(design, pen_template, config)[2]
     folds = fold_assignments(design.n, K, seed)
-    n_nonconverged = sum(not fit.converged for fit in full_path.fits)
+    if design.n - max(map(len, folds)) < 2:
+        raise FoldTooSmall("training folds need at least two rows")
 
-    n_points = len(full_path.grid)
-    fold_means = np.empty((K, n_points))
-    all_rows = np.arange(design.n)
-    for f, test_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, test_rows)
-        if train_rows.size < 2:
-            raise FoldTooSmall("training folds need at least two rows")
-        fold_design = rebuild_design(design, train_rows)
+    def job(j):  # job 0 is the full-data path, job j > 0 scores fold j (counted from 1)
+        if j == 0:
+            return solution_path(design, pen_template, config)
+        fold_design = rebuild_design(design, np.setdiff1d(np.arange(design.n), folds[j - 1]))
         fold_path = solution_path(design=fold_design, pen_template=pen_template,
                                   config=config, lambdas=lambdas)
-        if fold_path.grid != full_path.grid:
-            raise RuntimeError("fold grid does not align with the full-data grid")
-        n_nonconverged += sum(not fit.converged for fit in fold_path.fits)
-        X_test = design.X_raw[test_rows]
-        y_test = design.y_raw[test_rows]
-        for i, fit in enumerate(fold_path.fits):
-            resid = y_test - predict(fold_design, fit.beta, X_test)
-            fold_means[f, i] = float(resid @ resid) / test_rows.size
-    mean_err = fold_means.mean(axis=0)
-    se = fold_means.std(axis=0, ddof=1) / np.sqrt(K)
+        X_test, y_test = design.X_raw[folds[j - 1]], design.y_raw[folds[j - 1]]
+        resids = [y_test - predict(fold_design, fit.beta, X_test) for fit in fold_path.fits]
+        errors = [float(resid @ resid) / y_test.size for resid in resids]
+        return errors, sum(not fit.converged for fit in fold_path.fits), fold_path.grid
+
+    full_path, *fold_results = _forked_map(job, K + 1)
+    fold_means, counts, grids = zip(*fold_results)
+    if any(grid != full_path.grid for grid in grids):
+        raise RuntimeError("fold grid does not align with the full-data grid")
+    n_nonconverged = sum(counts) + sum(not fit.converged for fit in full_path.fits)
+    mean_err = np.mean(fold_means, axis=0)
+    se = np.std(fold_means, axis=0, ddof=1) / np.sqrt(K)
 
     i_min = int(np.argmin(mean_err))
     cutoff = mean_err[i_min] + se[i_min]
-    candidates = [
-        i for i in range(n_points) if mean_err[i] <= cutoff
-    ]
     # sparsest first: largest lambda, then grid order for determinism
-    i_1se = min(candidates, key=lambda i: (-full_path.grid[i][0], i))
+    i_1se = min((i for i in range(len(mean_err)) if mean_err[i] <= cutoff),
+                key=lambda i: (-full_path.grid[i][0], i))
     return CVReport(
         grid=list(full_path.grid),
         mean_cv_error=mean_err,

@@ -115,6 +115,25 @@ def _chain(family: Family, design, pens, config, start, inits=None) -> list:
     return fits
 
 
+def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=None):
+    """A path's family, penalty per gamma and descending lambdas; checked, not fitted."""
+    if config.warm_start not in WARM_STARTS:
+        raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
+    family = FAMILIES[pen_template.family]
+    if pen_template.family == "sgl" or config.gamma_grid is None:
+        pens = [pen_template]
+    else:
+        for i, g in enumerate(config.gamma_grid):
+            if g in config.gamma_grid[:i]:
+                raise ConfigError(f"gamma_grid lists {g} more than once")
+        pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
+    if lambdas is not None:
+        return family, pens, np.sort(np.asarray(lambdas, dtype=float))[::-1]
+    ratio = config.lambda_min_ratio
+    ratio = default_min_ratio(design) if ratio is None else ratio
+    return family, pens, lambda_grid(family.top(design, pens[0]), config.n_lambda, ratio)
+
+
 def solution_path(
     design, pen_template: PenaltySpec, config: PathConfig = None, lambdas=None
 ) -> SolutionPath:
@@ -133,25 +152,7 @@ def solution_path(
     """
     if config is None:
         config = PathConfig()
-    if config.warm_start not in WARM_STARTS:
-        raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
-    sgl = pen_template.family == "sgl"
-    family = FAMILIES[pen_template.family]
-    if sgl or config.gamma_grid is None:
-        pens = [pen_template]
-    else:
-        for i, g in enumerate(config.gamma_grid):
-            if g in config.gamma_grid[:i]:
-                raise ConfigError(f"gamma_grid lists {g} more than once")
-        pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
-    if lambdas is None:
-        ratio = config.lambda_min_ratio
-        if ratio is None:
-            ratio = default_min_ratio(design)
-        lambdas = lambda_grid(family.top(design, pens[0]), config.n_lambda, ratio)
-    else:
-        lambdas = np.sort(np.asarray(lambdas, dtype=float))[::-1]
-
+    family, pens, lambdas = path_grid(design, pen_template, config, lambdas)
     start = least_squares_init(design) if family.ascending else np.zeros(design.p)
     inits = None
     if config.warm_start == "group_lasso_init" and family.orthonormalized:
@@ -160,7 +161,7 @@ def solution_path(
 
     grid, fits = [], []
     for pen in pens:
-        if sgl:
+        if pen.family == "sgl":
             lam2 = config.sgl_lambda2
             points = [pen.with_lam(lam, config.sgl_lambda2_ratio * float(lam)
                                    if lam2 is None else lam2) for lam in lambdas]

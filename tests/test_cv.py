@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from grpsel import paths
 from grpsel.cv import CVReport, fold_assignments, kfold_cv
 from grpsel.design import build_design, group_norms, rebuild_design
-from grpsel.errors import FoldTooSmall
+from grpsel.errors import ConfigError, FoldTooSmall
 from grpsel.paths import PathConfig
 from grpsel.penalties import PenaltySpec
 
@@ -34,6 +35,19 @@ def test_fold_count_bounds():
         fold_assignments(10, 1, 0)
     with pytest.raises(FoldTooSmall):
         fold_assignments(10, 11, 0)
+
+
+def test_bad_folds_and_grids_fail_before_any_fit(monkeypatch):
+    monkeypatch.setattr(paths, "_chain", lambda *a, **k: pytest.fail("a path was fitted"))
+    design = build_design(np.array([[0.0, 1.0], [1.0, 3.0]]), np.array([0.5, 2.0]),
+                          np.array([0, 1]))
+    pen = PenaltySpec("gmcp", lam=0.0)
+    with pytest.raises(FoldTooSmall, match="at least two rows"):
+        kfold_cv(design, pen, K=2)
+    with pytest.raises(ConfigError, match="more than once"):
+        kfold_cv(design, pen, PathConfig(gamma_grid=(3.0, 3.0)), K=2)
+    with pytest.raises(ValueError, match="warm start"):
+        kfold_cv(design, pen, PathConfig(warm_start="none"), K=2)
 
 
 def test_report_is_bitwise_reproducible():
