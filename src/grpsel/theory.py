@@ -31,6 +31,10 @@ SUBSET_GUARD = 1_000_000
 # few enough that the n x _MC_BLOCK working arrays (peak memory) stay small.
 _MC_BLOCK = 100
 
+# Restarts whose objectives agree to this relative tolerance count as one
+# minimum: the first of them is kept, so rounding does not pick the fit.
+_KEEP_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OracleProblem:
@@ -353,6 +357,8 @@ class OracleReport:
     empirical_prob: float
     mismatches: int
     n_nonconverged: int
+    cycles_median: float
+    cycles_max: int
     reps: int
     ci99_margin: float
     conditions: dict
@@ -392,11 +398,14 @@ def monte_carlo_theorem1(
     be probed outside its hypotheses.  ``src_bounds = (c_star, c_sup,
     d_star)`` switches on the sparse Riesz variant: eta3 joins the bound and
     its extra conditions are flagged; fits then use ``n_starts`` random
-    restarts since strict convexity is no longer guaranteed.  The replicates
-    and their restarts are the columns of one ``fit_gcd_columns`` descent
-    per block of ``_MC_BLOCK`` replicates, drawn in the stream order of one
-    fit at a time.  ``n_nonconverged`` counts the replicates whose kept fit
+    restarts since strict convexity is no longer guaranteed, keeping the
+    first start whose objective is within ``_KEEP_RTOL`` of the smallest.
+    The replicates and their restarts are the columns of one
+    ``fit_gcd_columns`` descent per block of ``_MC_BLOCK`` replicates, drawn
+    in the stream order of one fit at a time.  ``n_nonconverged`` counts the replicates whose kept fit
     stopped without converging; they are still compared against the oracle.
+    ``cycles_median`` and ``cycles_max`` are taken over the kept fits' cycle
+    counts.
     """
     if reps < 1 or n_starts < 1:
         raise ValueError("need at least one replicate and one start")
@@ -441,6 +450,7 @@ def monte_carlo_theorem1(
     rng = np.random.default_rng(seed)
     p, mean = design.p, design.X @ problem.true_coef
     mismatches = n_nonconverged = 0
+    cycles = []  # of each replicate's kept fit
     for first in range(0, reps, _MC_BLOCK):
         k = min(_MC_BLOCK, reps - first)
         # per replicate in stream order: its noise, then the start of each restart
@@ -449,17 +459,19 @@ def monte_carlo_theorem1(
         inits = np.hstack([np.zeros((k, p)), draws[:, n:]]).reshape(-1, p).T
         Y = np.repeat(mean[:, None] + sig * draws[:, :n].T, n_starts, axis=1)
         del draws  # unused during the descent
-        B, _, conv = fit_gcd_columns(design, pen, Y, inits, tol=fit_tol)
+        B, its, conv = fit_gcd_columns(design, pen, Y, inits, tol=fit_tol)
         Y = Y[:, ::n_starts]  # one column per replicate
-        B, conv = B.reshape(p, k, n_starts), conv.reshape(k, n_starts)
+        B = B.reshape(p, k, n_starts)
+        its, conv = its.reshape(k, n_starts), conv.reshape(k, n_starts)
         rows, keep = np.arange(k), np.zeros(k, dtype=int)
         for i in range(k if n_starts > 1 else 0):
-            # the first start with the smallest objective, as one fit at a time chose
             d_rep = design.with_response(Y[:, i])
             objs = [objective(d_rep, b, pen) for b in B[:, i].T]
-            keep[i] = min(range(n_starts), key=objs.__getitem__)
+            least = min(objs)
+            keep[i] = next(s for s, v in enumerate(objs) if v <= least + _KEEP_RTOL * abs(least))
         coef, oracle = B[:, rows, keep], oracle_ls(problem, Y)
         n_nonconverged += int(np.sum(~conv[rows, keep]))
+        cycles.extend(its[rows, keep].tolist())
         fit_support = np.logical_or.reduceat(coef != 0, design.starts)
         ora_support = np.logical_or.reduceat(oracle != 0, design.starts)
         mismatches += int(np.sum(np.any(fit_support != ora_support, axis=0)
@@ -475,6 +487,8 @@ def monte_carlo_theorem1(
         empirical_prob=phat,
         mismatches=mismatches,
         n_nonconverged=n_nonconverged,
+        cycles_median=float(np.median(cycles)),
+        cycles_max=max(cycles),
         reps=reps,
         ci99_margin=margin,
         conditions=conditions,
