@@ -242,7 +242,7 @@ def fit_lcd(
         return delta
 
     return _descend(design, pen, init, sweep,
-                    lambda b: lcd_stationarity(design, pen, b, frozen),
+                    lambda b, g: _lcd_stationarity(design, pen, b, g, frozen),
                     tol, max_iter, check_descent, accelerate=True)
 
 
@@ -257,8 +257,12 @@ def lcd_stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None) ->
     if pen.family not in LCD_FAMILIES:
         raise UnsupportedFamily(f"no LCD weight for family {pen.family!r}")
     coef = np.asarray(coef, dtype=float).ravel()
-    r = design.y - design.X @ coef
-    g = design.X.T @ r / design.n
+    g = design.X.T @ (design.y - design.X @ coef) / design.n
+    return _lcd_stationarity(design, pen, coef, g, frozen)
+
+
+def _lcd_stationarity(design, pen, coef, g, frozen) -> float:
+    # ``lcd_stationarity`` of a flat float ``coef`` whose loss gradient ``X'r/n`` is ``g``
     dims, lam = design.dims, pen.lam
     skip = np.zeros(design.J, dtype=bool) if frozen is None else np.array(frozen, dtype=bool)
     abs_b = np.abs(coef)
@@ -339,7 +343,7 @@ def fit_sparse_group_lasso(
                 note()
         return delta
 
-    return _descend(design, pen, init, sweep, lambda b: sgl_kkt(design, b, lam1, lam2),
+    return _descend(design, pen, init, sweep, lambda b, g: _sgl_kkt(design, b, g, lam1, lam2),
                     tol, max_iter, check_descent, accelerate=True)
 
 
@@ -352,8 +356,12 @@ def sgl_kkt(design, coef: np.ndarray, lam1: float, lam2: float) -> float:
     norm gradient.
     """
     coef = np.asarray(coef, dtype=float).ravel()
-    r = design.y - design.X @ coef
-    g = design.X.T @ r / design.n
+    return _sgl_kkt(design, coef, design.X.T @ (design.y - design.X @ coef) / design.n,
+                    lam1, lam2)
+
+
+def _sgl_kkt(design, coef, g, lam1, lam2) -> float:
+    # ``sgl_kkt`` of a flat float ``coef`` whose loss gradient ``X'r/n`` is ``g``
     dims = design.dims
     nb = design.group_l2(coef)
     zero = nb == 0.0

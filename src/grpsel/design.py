@@ -107,6 +107,22 @@ class GroupedDesign:
         return [(self.X[:, a:a + d], self.X[:, a:a + d].T) for a, d in self.groups]
 
     @cached_property
+    def gram_rows(self) -> list:
+        """Per group, ``X_j'X/n`` (d_j x p) once ``gram_row`` has built it, else None.
+
+        Rows are built on first use, so only the groups a fit moves hold
+        one.  A ``with_response`` design shares this list.
+        """
+        return [None] * self.J
+
+    def gram_row(self, j: int) -> np.ndarray:
+        """Group j's rows of the Gram matrix, ``X_j'X/n``, built once per design."""
+        row = self.gram_rows[j]
+        if row is None:
+            row = self.gram_rows[j] = self.X[:, self.group_slice(j)].T @ self.X / self.n
+        return row
+
+    @cached_property
     def block_grams(self) -> list:
         """Each group's Gram ``X_j'X_j/n`` as rows of Python floats (read-only)."""
         return [(Xt @ Xj / self.n).tolist() for Xj, Xt in self.x_blocks]
@@ -183,8 +199,9 @@ class GroupedDesign:
         if not np.isfinite(y_new).all():
             raise NonFiniteInput("response contains NaN or infinite entries")
         new = replace(self, y=y_new, y_raw=y_new, y_mean=0.0)
-        # same factor tuple: the block form is computed once and shared
+        # same factor tuple and same X: the block form and the Gram rows are shared
         new.__dict__["_block_cache"] = (self.U, self._blocks())
+        new.__dict__["gram_rows"] = self.gram_rows
         return new
 
 

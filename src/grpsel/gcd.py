@@ -1,10 +1,12 @@
 """The block-descent engine, and group coordinate descent for 2-norm penalties.
 
 Every solver in the package cycles over the groups, exactly minimizes a
-one-group (or one-coordinate) surrogate and keeps a running residual.  That
-loop is written once, in ``_descend``: starting values, the residual and
-its periodic refresh, the convergence and non-finite tests, the per-update
-descent check and the ``FitResult``.  Each family supplies only one sweep
+one-group (or one-coordinate) surrogate and keeps a running vector: the
+residual ``r = y - Xb`` for the bi-level sweeps, the loss gradient
+``c = X'r/n`` for the 2-norm families.  That loop is written once, in
+``_descend``: starting values, the running vector and its periodic
+refresh, the convergence and non-finite tests, the per-update descent
+check and the ``FitResult``.  Each family supplies only one sweep
 and its stationarity check: ``fit_gcd`` here, ``fit_lcd`` and
 ``fit_sparse_group_lasso`` in ``bilevel``.
 
@@ -18,27 +20,36 @@ fits; each step is guaranteed not to increase the objective.  Pathwise fits
 ``lambda_max`` (where the solution is identically zero), warm-starting
 each fit from its neighbor.
 
-Skipping zero groups.  Each cycle starts with one product
-``g = X'r/n + b`` over all groups.  Walking the groups in order, the sweep
-keeps ``moved``, the sum of ``||diff||`` over the updates made so far in the
-cycle, and leaves a zero group j untouched when
-``||g_j|| + moved <= c_j * lam``.  Proof that this is the exact update:
-with ``(1/n) X_j'X_j = I`` every block has spectral norm ``sqrt(n)``, so
-updating group k by ``diff`` moves ``z_m = X_m'r/n + b_m`` of every other
-group by ``||X_m'X_k diff||/n <= ||diff||``; hence ``||z_j|| <= ||g_j|| +
-moved <= c_j * lam``, and every 2-norm threshold operator maps such a
+The running gradient (glmnet's covariance updates: Friedman, Hastie &
+Tibshirani 2010, JSS 33(1)).  ``fit_gcd`` and ``fit_gcd_columns`` keep
+``c = X'(y - Xb)/n`` instead of the residual, so a visit reads
+``z_j = c_j + b_j`` with no product, and a move of group j by ``diff`` is
+one product ``c -= diff @ R_j`` with ``R_j = X_j'X/n``
+(``design.gram_row``, built the first time group j moves and kept on the
+design).  Only the groups that ever move get their d_j x p rows, which on
+a wide design is a small share of the p x p Gram matrix.
+
+Skipping zero groups.  Each cycle starts with the group norms of ``c``,
+which for a zero group is ``z_j``.  Walking the groups in order, the sweep
+keeps ``moved``, the sum of ``||diff||`` over the updates made so far in
+the cycle, and leaves a zero group j untouched when ``||c_j|| + moved <=
+lam_j`` (``||c_j||`` from the cycle's start, ``lam_j = design.cj[j] *
+lam``).  Proof that this is the exact update: with ``(1/n) X_j'X_j = I``
+every block has spectral norm ``sqrt(n)``, so
+updating group k by ``diff`` moves ``c_m`` of every other group by
+``||X_m'X_k diff||/n <= ||diff||``; hence ``||z_j|| <= ||c_j|| + moved <=
+lam_j`` at the visit, and every 2-norm threshold operator maps such a
 ``z_j`` to zero.  The iterates, the cycle count and the convergence test
 are those of the sweep that updates every group.
 
-Python floats.  A group update makes two numpy products with the group's
-block (``design.x_blocks``, sliced once per design): ``X_j'r`` when
-something has moved in the cycle, and ``r -= X_j @ diff`` when the group
-moves.  The rest, from ``z = X_j'r/n + b_j`` through the threshold to the
-move's largest entry and length, works on lists of floats with the IEEE
-operations of the numpy formulas; only the threshold's ``||z||**2`` is
-summed in another order (see ``solve_single_group``).  A move with a NaN
-entry has a NaN step, as ``np.max`` would give: it is not applied, and the
-cycle's largest move is NaN, so the fit cannot count as converged.
+Python floats.  A group update makes one numpy product, ``c -= diff @
+R_j``, and only when the group moves; a visit makes none.  The rest, from
+``z = c_j + b_j`` through the threshold to the move's largest entry and
+length, works on lists of floats with the IEEE operations of the numpy
+formulas; only the threshold's ``||z||**2`` is summed in another order (see
+``solve_single_group``).  A move with a NaN entry has a NaN step, as
+``np.max`` would give: it is not applied, and the cycle's largest move is
+NaN, so the fit cannot count as converged.
 
 Anderson acceleration (Anderson 1965; for coordinate descent, Bertrand &
 Massias 2021).  For the bi-level sweeps, ``_descend`` extrapolates after
@@ -56,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
-from .penalties import (_GROUP_RHO, PenaltySpec, objective, rho_prime, solve_single_group,
-                        solve_single_group_columns)
+from .penalties import (_GROUP_RHO, PenaltySpec, _objective, objective, rho_prime,
+                        solve_single_group, solve_single_group_columns)
 
 # Anderson extrapolates from windows of ANDERSON_K + 1 cycle iterates; 0 turns it off.
 ANDERSON_K = 5
@@ -74,6 +85,10 @@ class FitResult:
     ``coef`` is the same solution in the design's internal (transformed)
     coordinates, which is what warm starts and the objective use.  The
     penalty point is the solver's ``PenaltySpec`` or ``SolutionPath.grid``.
+    ``residual_drift`` is the largest entry of the difference between the
+    solver's running vector at the end and the same vector recomputed from
+    ``coef``: the loss gradient ``X'r/n`` for the 2-norm families, the
+    residual ``r`` for the bi-level ones.
     """
 
     beta: np.ndarray
@@ -160,24 +175,32 @@ def _extrapolate(window):
 
 
 def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
-             check_descent, accelerate=False) -> FitResult:
+             check_descent, accelerate=False, gradient=False) -> FitResult:
     """The cycle loop shared by every solver.
 
-    ``sweep(b, r, note)`` runs one cycle over the groups, updating the
-    coefficients ``b`` and the running residual ``r`` in place, calls
+    ``sweep(b, v, note)`` runs one cycle over the groups, updating the
+    coefficients ``b`` and the running vector ``v`` in place, calls
     ``note()`` (when it is not None) after every group or coordinate
-    update, and returns the largest coefficient move of the cycle.
-    ``stationarity(b)`` is the family's stationarity residual.  Convergence
-    is declared when no coefficient moves by more than ``tol`` over a cycle;
-    if ``max_iter`` cycles pass without that, or the residual turns
-    non-finite, the last iterate is returned with ``converged=False``.
-    With ``accelerate``, every ``ANDERSON_K + 1`` unconverged cycles end in
-    an Anderson attempt (module docstring).  An accepted point refreshes
-    ``r`` and is ``note()``d; a singular or non-finite system skips it.
+    update, and returns the largest coefficient move of the cycle.  ``v``
+    is the residual ``r = y - Xb``, or with ``gradient`` the loss gradient
+    ``X'r/n``; it is recomputed from ``b`` at the start and every 100
+    cycles.  ``stationarity(b, g)`` is the family's stationarity residual
+    at the loss gradient ``g``.  Convergence is declared when no
+    coefficient moves by more than ``tol`` over a cycle; if ``max_iter``
+    cycles pass without that, or ``v`` turns non-finite, the last iterate
+    is returned with ``converged=False``.  With ``accelerate``, every
+    ``ANDERSON_K + 1`` unconverged cycles end in an Anderson attempt
+    (module docstring).  An accepted point refreshes ``v`` and is
+    ``note()``d; a singular or non-finite system skips it.
     """
-    p, X, y = design.p, design.X, design.y
+    n, p, X, y = design.n, design.p, design.X, design.y
     b = _start(design, init)
-    r = y - X @ b if np.any(b) else y.copy()
+
+    def fresh(b):
+        r = y - X @ b if np.any(b) else y.copy()
+        return X.T @ r / n if gradient else r
+
+    v = fresh(b)
 
     note = None
     max_increase = None
@@ -197,9 +220,9 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
     window, size = [], ANDERSON_K + 1 if accelerate and ANDERSON_K else 0
     for it in range(1, max_iter + 1):
         iterations = it
-        delta = sweep(b, r, note)
-        if not np.isfinite(r).all():
-            break  # a non-finite residual can never count as converged
+        delta = sweep(b, v, note)
+        if not np.isfinite(v).all():
+            break  # a non-finite running vector can never count as converged
         if delta <= tol:
             converged = True
             break
@@ -209,21 +232,23 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
                 point, window = _extrapolate(window), []
                 if point is not None and objective(design, point, pen) < objective(design, b, pen):
                     b[:] = point
-                    r = y - X @ b
+                    v = fresh(b)
                     if note:
                         note()
         if it % 100 == 0:
-            # guard against floating-point drift in the running residual
-            r = y - X @ b
+            v = fresh(b)  # guard against floating-point drift in the running vector
 
-    drift = float(np.max(np.abs(r - (y - X @ b)))) if p else 0.0
+    # one residual and one gradient for the drift, the objective and the stationarity
+    r = y - X @ b
+    g = X.T @ r / n
+    drift = float(np.max(np.abs(v - (g if gradient else r)))) if p else 0.0
     return FitResult(
         beta=design.back_transform(b),
         coef=b,
-        objective=objective(design, b, pen),
+        objective=_objective(design, b, pen, r),
         iterations=iterations,
         converged=converged,
-        kkt_max_violation=stationarity(b),
+        kkt_max_violation=stationarity(b, g),
         # no update noted (every group frozen) means no increase either
         max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
         residual_drift=drift,
@@ -243,8 +268,8 @@ def fit_gcd(
     ``init`` is a starting value in the design's internal coordinates
     (zeros by default).  Convergence is declared when no coefficient moves
     by more than ``tol`` over a full cycle; if ``max_iter`` cycles pass
-    without that, or the residual turns non-finite, the last iterate is
-    returned with ``converged=False``.
+    without that, or the running gradient turns non-finite, the last
+    iterate is returned with ``converged=False``.
     With ``check_descent`` the objective is evaluated after every group
     update and the largest observed increase is recorded (it should never
     exceed roundoff).
@@ -253,28 +278,22 @@ def fit_gcd(
     necessarily a global minimizer.
     """
     _check_gcd(design, pen, "fit_gcd")
-    n, X = design.n, design.X
     gamma, family = pen.gamma, pen.family
     bounds = [(start, start + size) for start, size in design.groups]
-    blocks = design.x_blocks
     thresholds = (design.cj * pen.lam).tolist()
 
-    def sweep(b, r, note):
-        g = X.T @ r / n + b
-        g_norms = design.group_l2(g).tolist()
+    def sweep(b, c, note):
+        c_norms = design.group_l2(c).tolist()  # ||z_j|| of the zero groups
         nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
         delta = moved = 0.0
         for j, (a, e) in enumerate(bounds):
-            if not nonzero[j] and g_norms[j] + moved <= thresholds[j]:
+            if not nonzero[j] and c_norms[j] + moved <= thresholds[j]:
                 # the exact update leaves this zero group at zero (see above)
                 if note:
                     note()
                 continue
             old = b[a:e].tolist()
-            if moved == 0.0:
-                z = g[a:e].tolist()  # r is still the residual g was computed from
-            else:
-                z = [c / n + bk for c, bk in zip(np.dot(blocks[j][1], r).tolist(), old)]
+            z = [ck + bk for ck, bk in zip(c[a:e].tolist(), old)]
             new = solve_single_group(z, thresholds[j], gamma, family)
             diff = [v - w for v, w in zip(new, old)]
             ss = 0.0
@@ -284,7 +303,7 @@ def fit_gcd(
             # applied, and it leaves delta NaN so the cycle cannot converge
             step = ss if ss != ss else max(map(abs, diff))
             if step > 0:
-                r -= np.dot(blocks[j][0], np.array(diff))
+                c -= np.dot(np.array(diff), design.gram_row(j))
                 b[a:e] = new
                 moved += math.sqrt(ss)
             delta = max(delta, step) if step == step else step
@@ -292,8 +311,8 @@ def fit_gcd(
                 note()
         return delta
 
-    return _descend(design, pen, init, sweep, lambda b: kkt_check(design, pen, b),
-                    tol, max_iter, check_descent)
+    return _descend(design, pen, init, sweep, lambda b, g: _kkt(design, pen, b, g),
+                    tol, max_iter, check_descent, gradient=True)
 
 
 def _check_gcd(design, pen, name):
@@ -311,7 +330,8 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     and convergence flags.  Column k takes the steps of ``fit_gcd`` on
     ``design.with_response(Y[:, k])`` from ``init[:, k]``: its own ``moved``
     sum, zero-group skip and stops.  Only the order of floating-point sums
-    differs.  A column that has stopped no longer changes.
+    differs.  A column that has stopped no longer changes.  Each column
+    keeps its running gradient, as ``fit_gcd`` does.
     """
     _check_gcd(design, pen, "fit_gcd_columns")
     Y = np.asarray(Y, dtype=float)
@@ -326,39 +346,37 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     thresholds = (design.cj * pen.lam).tolist()
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
     run, b = np.arange(R), B.copy()  # the columns still cycling, and their coefficients
-    r = Y - X @ b
+    c = X.T @ (Y - X @ b) / n  # their running gradients
     for it in range(1, max_iter + 1):
-        g = X.T @ r / n + b
-        g_norms = np.sqrt(np.add.reduceat(g * g, design.starts))
+        c_norms = np.sqrt(np.add.reduceat(c * c, design.starts))
         nonzero = np.logical_or.reduceat(b != 0, design.starts)
         delta, moved = np.zeros((2, run.size))
         for j, (a, e) in enumerate((a, a + d) for a, d in design.groups):
             # the columns whose group j the skip of fit_gcd does not leave at zero
-            k = np.flatnonzero(nonzero[j] | ~(g_norms[j] + moved <= thresholds[j]))
+            k = np.flatnonzero(nonzero[j] | ~(c_norms[j] + moved <= thresholds[j]))
             if k.size:
-                # until something moves in a column, r is the residual g was computed from
-                fresh = (X[:, a:e].T @ r / n)[:, k] + b[a:e, k]
-                z = np.where(moved[k] == 0.0, g[a:e, k], fresh)
-                new = solve_single_group_columns(z, thresholds[j], pen.gamma, pen.family)
+                new = solve_single_group_columns(c[a:e, k] + b[a:e, k], thresholds[j],
+                                                 pen.gamma, pen.family)
                 diff = new - b[a:e, k]
                 step = np.max(np.abs(diff), axis=0)
                 delta[k] = np.fmax(delta[k], step)
                 up = step > 0  # False for a NaN step, as in fit_gcd
-                k, diff = k[up], diff[:, up]
-                r[:, k] -= X[:, a:e] @ diff
-                b[a:e, k] = new[:, up]
-                moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
+                if up.any():
+                    k, diff = k[up], diff[:, up]
+                    c[:, k] -= design.gram_row(j).T @ diff
+                    b[a:e, k] = new[:, up]
+                    moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
         iterations[run] = it
-        finite = np.isfinite(r).all(axis=0)  # a non-finite residual stops unconverged
+        finite = np.isfinite(c).all(axis=0)  # a non-finite gradient stops unconverged
         converged[run] = finite & (delta <= tol)
         stop = ~finite | (delta <= tol)
         if stop.any():
             B[:, run[stop]] = b[:, stop]
-            run, b, r = run[~stop], b[:, ~stop], r[:, ~stop]
+            run, b, c = run[~stop], b[:, ~stop], c[:, ~stop]
             if not run.size:
                 break
         if it % 100 == 0:
-            r = Y[:, run] - X @ b  # guard against floating-point drift in the running residual
+            c = X.T @ (Y[:, run] - X @ b) / n  # guard against drift in the running gradients
     B[:, run] = b
     return B, iterations, converged
 
@@ -374,8 +392,11 @@ def kkt_check(design, pen: PenaltySpec, coef: np.ndarray) -> float:
     if pen.family not in _GROUP_PENALTY:
         raise UnsupportedFamily(f"kkt_check handles {tuple(_GROUP_PENALTY)} only")
     coef = np.asarray(coef, dtype=float).ravel()
-    r = design.y - design.X @ coef
-    g = design.X.T @ r / design.n
+    return _kkt(design, pen, coef, design.X.T @ (design.y - design.X @ coef) / design.n)
+
+
+def _kkt(design, pen: PenaltySpec, coef: np.ndarray, g: np.ndarray) -> float:
+    # ``kkt_check`` of a flat float ``coef`` whose loss gradient ``X'r/n`` is ``g``
     nb = design.group_l2(coef)
     lam_j = design.cj * pen.lam
     slope = rho_prime(nb, lam_j, pen.gamma, _GROUP_PENALTY[pen.family])

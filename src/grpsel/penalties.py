@@ -324,7 +324,11 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec) -> float:
     ``||y - X @ coef||**2 / (2n)``; the penalty term depends on the family.
     """
     coef = np.asarray(coef, dtype=float).ravel()
-    r = design.y - design.X @ coef
+    return _objective(design, coef, pen, design.y - design.X @ coef)
+
+
+def _objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray) -> float:
+    # ``objective`` of a flat float ``coef`` whose residual ``y - X @ coef`` is ``r``
     lam = pen.lam
     fam = pen.family
     if fam in _GROUP_RHO:

@@ -14,9 +14,10 @@ from grpsel.bilevel import (
     fit_sparse_group_lasso,
     sgl_lambda_max,
 )
-from grpsel.design import GroupedDesign, build_design, group_norms
+from grpsel.design import GroupedDesign, build_design, group_norms, rebuild_design
 from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
+from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import PenaltySpec, objective
 
 from conftest import (accepted_extrapolations, assert_close_to_reference,
@@ -261,8 +262,11 @@ def test_lambda_grid_endpoints_exact():
 # nine nonzero coefficients on correlated columns, once with p < n, once
 # with p > n.
 _REFERENCE_DESIGNS = {
-    "p<n": dict(n=80, sizes=[3] * 12, seed=31),
-    "p>n": dict(n=40, sizes=[4] * 15, seed=32),
+    "p<n": dict(n=80, sizes=[3] * 12, seed=31, correlation=0.3),
+    "p>n": dict(n=40, sizes=[4] * 15, seed=32, correlation=0.3),
+    "p=n": dict(n=48, sizes=[4] * 12, seed=33, correlation=0.3),
+    # 16 of its 35 fit_gcd fits run past the 100-cycle refresh of the running vector
+    "correlated": dict(n=60, sizes=[3] * 10, seed=34, correlation=0.9),
 }
 
 _REFERENCE_PENALTIES = [
@@ -279,7 +283,7 @@ def _reference_design(case):
     beta = np.zeros(p)
     beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
     design, _ = gaussian_design(spec["n"], spec["sizes"], beta=beta, sigma=1.0,
-                                correlation=0.3, seed=spec["seed"])
+                                correlation=spec["correlation"], seed=spec["seed"])
     return design
 
 
@@ -372,6 +376,49 @@ def test_batched_fits_match_fit_gcd(correlation):
             fit_gcd_columns(design, PenaltySpec(family, lam=lam), Y)
 
 
+def _filled(design):
+    return {j for j, row in enumerate(design.gram_rows) if row is not None}
+
+
+def test_gram_rows_are_built_for_the_groups_that_move_only():
+    # the running gradient needs X_j'X/n only for a group that moves; rows
+    # are built on the first move, shared with with_response designs (same
+    # X) and never with a rebuilt fold design (new X)
+    design, _ = gaussian_design(50, [2, 3, 2, 4, 1, 3], beta=[1.0, -0.6] + [0.0] * 13,
+                                correlation=0.5, seed=7)
+    pen = PenaltySpec("gmcp", lam=0.3 * lambda_max(design), gamma=3.0)
+    quiet = design.with_response(1e-3 * design.y)  # its fit is zero: nothing moves
+    assert not fit_gcd(quiet, pen).coef.any() and not _filled(design)
+    assert not fit_gcd_columns(quiet, pen, quiet.y[:, None])[0].any() and not _filled(design)
+    coef, moved = np.zeros(design.p), set()
+    for _ in range(6):
+        # one cycle at a time: a group moved in the cycle iff its coefficients changed
+        fit = fit_gcd(design, pen, init=coef, max_iter=1)
+        moved |= set(np.flatnonzero(design.group_l2(fit.coef - coef)).tolist())
+        coef = fit.coef
+        assert _filled(design) == moved
+    assert 0 < len(moved) < design.J
+    for j in moved:
+        exact = design.X[:, design.group_slice(j)].T @ design.X / design.n
+        np.testing.assert_allclose(design.gram_rows[j], exact, rtol=0, atol=1e-14)
+
+    other = design.with_response(np.roll(design.y, 1))
+    assert other.gram_rows is design.gram_rows
+    B, _, _ = fit_gcd_columns(other, pen, np.column_stack([other.y, 3.0 * other.y]))
+    assert _filled(design) >= set(np.flatnonzero(design.group_l2(B[:, 0])).tolist())
+    assert not _filled(rebuild_design(design, np.arange(40)))
+
+
+def test_wide_path_builds_fewer_gram_rows_than_groups():
+    beta = np.zeros(300)
+    beta[:10] = [1.0, -0.8, 0.6, 1.2, -0.5, 0.9, -1.1, 0.7, 0.4, -0.6]
+    design, _ = gaussian_design(80, [5] * 60, beta=beta, seed=9)
+    path = solution_path(design, PenaltySpec("gmcp", lam=0.0), PathConfig(n_lambda=20))
+    filled = _filled(design)
+    assert any(np.any(f.coef) for f in path.fits)
+    assert 0 < len(filled) < design.J
+
+
 # Penalty levels for the bi-level comparison, as fractions of the top of each
 # family's grid and in warm-start order: the bridge path runs upward from
 # least squares, and its top level is a loose upper bound, so its fits are
@@ -390,7 +437,7 @@ def _bilevel_design(case, family):
     beta = np.zeros(sum(spec["sizes"]))
     beta[:9] = np.tile([1.0, -0.6, 0.4], 3)
     design, _ = gaussian_design(
-        spec["n"], spec["sizes"], beta=beta, sigma=1.0, correlation=0.3,
+        spec["n"], spec["sizes"], beta=beta, sigma=1.0, correlation=spec["correlation"],
         seed=spec["seed"], orthonormalize=False,
         weights=("pow", 0.5) if family == "gbridge" else "sqrt",
     )
