@@ -402,10 +402,10 @@ def monte_carlo_theorem1(
     first start whose objective is within ``_KEEP_RTOL`` of the smallest.
     The replicates and their restarts are the columns of one
     ``fit_gcd_columns`` descent per block of ``_MC_BLOCK`` replicates, drawn
-    in the stream order of one fit at a time.  ``n_nonconverged`` counts the replicates whose kept fit
-    stopped without converging; they are still compared against the oracle.
-    ``cycles_median`` and ``cycles_max`` are taken over the kept fits' cycle
-    counts.
+    in the stream order of one fit at a time.  ``n_nonconverged`` counts the
+    replicates whose kept fit stopped without converging; they are still
+    compared against the oracle.  ``cycles_median`` and ``cycles_max`` are
+    taken over the kept fits' cycle counts.
     """
     if reps < 1 or n_starts < 1:
         raise ValueError("need at least one replicate and one start")

@@ -259,13 +259,13 @@ def test_lambda_grid_endpoints_exact():
 
 
 # Seeded designs for the comparison against the every-group reference sweep:
-# nine nonzero coefficients on correlated columns, once with p < n, once
-# with p > n.
+# nine nonzero coefficients on correlated columns, with p < n, p > n and
+# p = n, and once on columns so correlated that 16 of the 35 fit_gcd fits
+# run past the 100-cycle refresh of the running gradient.
 _REFERENCE_DESIGNS = {
     "p<n": dict(n=80, sizes=[3] * 12, seed=31, correlation=0.3),
     "p>n": dict(n=40, sizes=[4] * 15, seed=32, correlation=0.3),
     "p=n": dict(n=48, sizes=[4] * 12, seed=33, correlation=0.3),
-    # 16 of its 35 fit_gcd fits run past the 100-cycle refresh of the running vector
     "correlated": dict(n=60, sizes=[3] * 10, seed=34, correlation=0.9),
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -314,6 +315,28 @@ class TestMonteCarloTheorem1:
         assert report.eta3 >= 0.0
         assert report.bound_total >= report.eta1 + report.eta2
         assert "gamma_ge_src_level" in report.conditions
+
+    @pytest.mark.parametrize("gain,kept_cycles", [(2.0**-52, 1), (1e-9, 2)])
+    def test_restarts_tied_in_the_objective_keep_the_first(self, monkeypatch, gain,
+                                                           kept_cycles):
+        # restarts that reach one minimum differ in the last bits of their
+        # objectives: those bits must not choose the kept fit, a real gain must
+        from grpsel import theory
+
+        problem = random_problem(100, [2] * 5, support=[0, 1], beta_star=2.0,
+                                 sigma=1.0, seed=18)
+        solve = theory.fit_gcd_columns
+
+        def tagged(*args, **kwargs):  # start s of every replicate reports s + 1 cycles
+            B, iterations, converged = solve(*args, **kwargs)
+            return B, np.tile([1, 2], B.shape[1] // 2), converged
+
+        calls = itertools.count()  # objectives are asked for start 0, then start 1
+        monkeypatch.setattr(theory, "fit_gcd_columns", tagged)
+        monkeypatch.setattr(theory, "objective", lambda *a: 1.0 - gain * (next(calls) % 2))
+        report = monte_carlo_theorem1(problem, lam=0.05, gamma=3.0, reps=6, seed=18,
+                                      n_starts=2)
+        assert report.cycles_median == report.cycles_max == kept_cycles
 
 
 class TestRunExperiment:
