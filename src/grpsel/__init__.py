@@ -47,7 +47,6 @@ from .theory import (
     monte_carlo_theorem1,
     oracle_ls,
     random_problem,
-    rate_constants,
     run_experiment,
     src_spectrum,
     zeta_norm,

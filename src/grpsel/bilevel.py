@@ -9,49 +9,55 @@ survive the mapping back to the caller's coordinates:
   per-coordinate MCPs).  Each coordinate update replaces the penalty by its
   tangent line at the current iterate, which majorizes the concave penalty,
   and solves the resulting one-dimensional LASSO with the soft-threshold
-  operator.  The exact objective therefore never increases.  The sweep
-  uses the covariance updates of Friedman, Hastie & Tibshirani (2010,
-  JSS 33(1)): per group visit one product ``c = X_j'r/n``, then for each
+  operator.  The exact objective therefore never increases.  Like every
+  solver here it runs on the engine's running gradient ``c = X'r/n``
+  (``gcd`` docstring): a group visit reads ``c_j``, takes for each
   coordinate in order ``z_k = c_k - sum_l G_kl * diff_l + b_k`` over the
   coordinates already moved in the visit (``G = X_j'X_j/n``, cached per
-  design), and one ``r -= X_j @ diff`` at the end.  The tangent slopes are
-  computed in Python floats with the formulas and order of operations of
-  ``_mcp``/``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes
-  its scalar path, so the iterates are those of the per-coordinate loop up
-  to rounding.  The pending moves reach the residual before a bridge
-  group is frozen; ``note()`` (with ``check_descent``) reads ``b`` alone.
+  design), and applies its moves at the end, a bridge freeze included, as
+  one ``c -= diff @ R_j``.  The tangent slopes are computed in Python
+  floats with the formulas and order of operations of ``_mcp``/
+  ``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes its scalar
+  path, so the iterates are those of the per-coordinate loop up to
+  rounding.  ``note()`` (with ``check_descent``) reads ``b`` alone.
 
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
   quadratic is majorized with the block Lipschitz constant L_j (top
   eigenvalue of ``X_j'X_j/n``, cached per design), and the exact proximal map
   is the coordinate-wise soft threshold followed by the group soft
-  threshold.  A visit makes one product ``X_j'r`` and at most one
-  ``r -= X_j @ diff``; the rest is Python floats with the IEEE operations
-  of the numpy formulas, but ``||soft(zt)||**2`` is summed left to right.
-  A NaN move is not applied and makes the cycle's largest move NaN.
+  threshold.  A visit reads ``c_j`` and makes at most one product, the
+  move's ``c -= diff @ R_j``; the rest is Python floats with the IEEE
+  operations of the numpy formulas, but ``||soft(zt)||**2`` is summed left
+  to right.  A NaN move is not applied and makes the cycle's largest move
+  NaN.
 
 Both sweeps run with the engine's Anderson extrapolation (``gcd``
 docstring), which keeps the current iterate's zeros at zero: frozen bridge
 groups stay frozen, and the skips below read ``b`` afresh each cycle.
 
-Zero-group skips, as in ``fit_gcd``: from one ``g = X'r/n`` per cycle, a
+Zero-group skips, as in ``fit_gcd``: from ``c`` at the cycle's start, a
 zero group whose visit provably moves nothing is left alone (one ``note()``).
 sgl (Simon et al. 2013, JCGS 22:231): a visit keeps group j at zero when
-``||soft(X_j'r/n, lam1)|| <= lam2``; a move ``diff_k`` shifts ``X_j'r/n``
-by at most ``sqrt(L_j L_k)||diff_k||`` and soft thresholding is 1-Lipschitz,
-so ``||soft(g_j, lam1)|| + sqrt(L_j) * moved <= lam2``, with ``moved`` the
-sum of ``sqrt(L_k)||diff_k||`` over the cycle so far, is enough.  cmcp
-(lam > 0): each tangent weight at a zero group is ``lam*(lam*1.0)``, and a
-move ``diff_m`` shifts ``x_k'r/n`` by at most ``|diff_m|`` on standardized
-columns, so ``max_k |g_k| + shift <= lam**2`` (``shift``: the cycle's summed
-``|diff|``) is enough.  Rounding: a visit forms ``X_j'r/n`` with its own
-product, so each test adds ``SKIP_SLACK * (s + moved + lam1 + lam2)`` per
-entry (cmcp: ``lam**2`` for the levels; sgl: times ``sqrt(d_j)``), ``s =
-||r||/sqrt(n)`` at the cycle's start.  That exceeds the products' ``n u (s
-+ moved)`` (``u = 2**-53``, any summation order), the float updates' ``(p +
-d) u (s + moved)`` and the thresholds' few ``u (lam1 + lam2)`` while n + p <
-2**21; tie rules only zero more.
+``||soft(c_j, lam1)|| <= lam2``; a move ``diff_k`` shifts ``c_j`` by
+``X_j'X_k diff_k/n``, at most ``sqrt(L_j L_k)||diff_k||``, and soft
+thresholding is 1-Lipschitz, so ``||soft(c_j, lam1)|| + sqrt(L_j) * moved
+<= lam2``, with ``moved`` the sum of ``sqrt(L_k)||diff_k||`` over the
+cycle so far, is enough.  cmcp (lam > 0): each tangent weight at a zero
+group is ``lam*(lam*1.0)``, and a move ``diff_m`` shifts ``c_k`` by at most
+``|diff_m|`` on standardized columns, so ``max_k |c_k| + shift <= lam**2``
+(``shift``: the cycle's summed ``|diff|``) is enough.  Rounding: the test
+and the visit read the same running vector, so only the in-cycle updates
+of ``c`` and the visit's own threshold round, and each test adds
+``SKIP_SLACK * (moved + lam1 + lam2)`` per entry (cmcp: ``lam**2`` for the
+levels; sgl: times ``sqrt(d_j)``).  An update by group k rounds each entry
+by at most ``n u`` per unit of ``|diff_k|`` in the ``n``-term products that
+built ``R_k``, ``(d_k + 1) u`` relative in ``diff_k @ R_k`` and ``u |c_i|``
+in the subtraction (``u = 2**-53``, any summation order); with ``L_k >= 1``
+and ``|c_i|`` within the levels plus ``moved`` wherever a test passes,
+``SKIP_SLACK`` exceeds these and the thresholds' few ``u (lam1 + lam2)``
+while ``n * sqrt(d) + p < 2**22`` for every group size ``d``; tie rules
+only zero more.
 """
 
 import math
@@ -140,7 +146,6 @@ def fit_lcd(
             "fit_lcd needs a design built with orthonormalize=False; "
             "orthonormalization does not preserve coordinate-wise sparsity"
         )
-    n, X = design.n, design.X
     lam, cmcp = pen.lam, pen.family == "cmcp"
     bounds = [(start, start + size) for start, size in design.groups]
     grams = design.block_grams
@@ -155,6 +160,7 @@ def fit_lcd(
     if skipping:
         gi = pen.gamma_inner
         gil, two_gi, cap = gi * lam, 2 * gi, gi * lam**2 / 2
+        room = lam * lam - SKIP_SLACK * (lam * lam)  # the skip test's bound (module docstring)
         # gamma*lam of each group's outer MCP, whose gamma is d_j*gamma_inner*lam/2
         outer_gl = [size * gi * lam / 2 * lam for _, size in design.groups]
     elif freezing:
@@ -169,38 +175,28 @@ def fit_lcd(
             total += v
         return lam * max(1.0 - total / outer_gl[j], 0.0) if cmcp else total
 
-    def settle(b, r, a, Xj, bj, diffs, moved):
-        # apply the pending coordinate moves to the residual and the coefficients
-        r -= Xj @ diffs
-        b[a:a + len(bj)] = bj
-        for k in moved:
-            diffs[k] = 0.0
-        moved.clear()
-
-    def sweep(b, r, note):
+    def sweep(b, c, note):
         delta = shift = 0.0  # shift: the sum of |diff| over the cycle's moves
         if skipping:
-            gmax = np.maximum.reduceat(np.abs(X.T @ r / n), design.starts).tolist()
+            cmax = np.maximum.reduceat(np.abs(c), design.starts).tolist()
             nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
-            room = lam * lam - SKIP_SLACK * (math.sqrt(float(r @ r) / n) + lam * lam)
         for j, (a, e) in enumerate(bounds):
             if frozen[j]:
                 continue
-            if skipping and not nonzero[j] and gmax[j] + (1.0 + SKIP_SLACK) * shift <= room:
+            if skipping and not nonzero[j] and cmax[j] + (1.0 + SKIP_SLACK) * shift <= room:
                 # the exact visit leaves this zero group at zero (see above)
                 if note:
                     note()
                 continue
-            Xj, G = X[:, a:e], grams[j]
-            bj = b[a:e].tolist()
-            c = (Xj.T @ r / n).tolist()
-            diffs, moved = [0.0] * (e - a), []  # moves not yet applied to r
+            old = b[a:e].tolist()
+            bj, c_j = list(old), c[a:e].tolist()
+            diffs, moved = [0.0] * (e - a), []  # moves not yet applied to c
             factor = 0.0
             if lam:  # terms: the visit's inner MCPs (cmcp) or |b_k| (gbridge)
                 terms = ([lam * t - t * t / two_gi if t <= gil else cap for t in map(abs, bj)]
                          if cmcp else list(map(abs, bj)))
                 factor = group_factor(j, terms)
-            for k, Gk in enumerate(G):
+            for k, Gk in enumerate(grams[j]):
                 # the slope of the penalty's tangent line in this coordinate
                 if not lam:
                     w = 0.0
@@ -208,11 +204,11 @@ def fit_lcd(
                     w = factor * (lam * max(1.0 - abs(bj[k]) / gil, 0.0))
                 else:
                     w = scales[j] * factor ** gm1
-                # z = X_k'r/n + b_k at the residual with the pending moves applied
+                # z = c_k + b_k, with c_k moved by the visit's earlier moves
                 s = 0.0
                 for m in moved:
                     s += Gk[m] * diffs[m]
-                new = soft_threshold(c[k] - s + bj[k], w)
+                new = soft_threshold(c_j[k] - s + bj[k], w)
                 diff = new - bj[k]
                 if diff != 0.0:
                     bj[k] = new
@@ -230,15 +226,12 @@ def fit_lcd(
                     note()
                 if freezing and factor < BRIDGE_FREEZE_TOL:
                     # the tangent slope diverges at zero: pin the group there
-                    if moved:
-                        settle(b, r, a, Xj, bj, diffs, moved)
-                    if any(bj):
-                        r += Xj @ b[a:e]
-                        b[a:e] = 0.0
+                    bj = [0.0] * (e - a)
                     frozen[j] = True
                     break
-            if moved:
-                settle(b, r, a, Xj, bj, diffs, moved)
+            if bj != old:  # the visit's moves, a freeze included, reach c in one product
+                c -= np.dot(np.array(bj) - old, design.gram_row(j))
+            b[a:e] = bj
         return delta
 
     return _descend(design, pen, init, sweep,
@@ -301,18 +294,16 @@ def fit_sparse_group_lasso(
         raise ValueError(
             "fit_sparse_group_lasso needs a design built with orthonormalize=False"
         )
-    n, X = design.n, design.X
     bounds = [(start, start + size) for start, size in design.groups]
-    blocks = design.x_blocks
     lips = design.block_lipschitz
-    # per group: n*L, both thresholds in the units of zt and sqrt(L); the skip's factors
-    steps = [(n * L, lam1 / L, lam2 / L, math.sqrt(L)) for L in lips]
+    # per group: L, both thresholds in the units of zt and sqrt(L); the skip's factors
+    steps = [(L, lam1 / L, lam2 / L, math.sqrt(L)) for L in lips]
     slack = SKIP_SLACK * np.sqrt(design.dims)
     rates = (np.sqrt(lips) + slack).tolist()
 
-    def sweep(b, r, note):
-        need = (design.group_l2(np.maximum(np.abs(X.T @ r / n) - lam1, 0.0))
-                + slack * (math.sqrt(float(r @ r) / n) + lam1 + lam2)).tolist()
+    def sweep(b, c, note):
+        need = (design.group_l2(np.maximum(np.abs(c) - lam1, 0.0))
+                + slack * (lam1 + lam2)).tolist()
         nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
         delta = moved = 0.0
         for j, (a, e) in enumerate(bounds):
@@ -321,10 +312,9 @@ def fit_sparse_group_lasso(
                 if note:
                     note()
                 continue
-            nL, t1, t2, root = steps[j]
+            L, t1, t2, root = steps[j]
             old = b[a:e].tolist()
-            u = [soft_threshold(bk + c / nL, t1)
-                 for c, bk in zip(np.dot(blocks[j][1], r).tolist(), old)]
+            u = [soft_threshold(bk + ck / L, t1) for ck, bk in zip(c[a:e].tolist(), old)]
             ss = 0.0
             for v in u:
                 ss += v * v
@@ -335,7 +325,7 @@ def fit_sparse_group_lasso(
                 ss += v * v
             step = ss if ss != ss else max(map(abs, diff))  # NaN: not applied, delta NaN
             if step > 0:
-                r -= np.dot(blocks[j][0], np.array(diff))
+                c -= np.dot(np.array(diff), design.gram_row(j))
                 b[a:e] = new
                 moved += root * math.sqrt(ss)
             delta = max(delta, step) if step == step else step

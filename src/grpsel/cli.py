@@ -26,7 +26,7 @@ import numpy as np
 from .cv import kfold_cv
 from .design import build_design, group_norms
 from .errors import ConfigError, GammaOutOfRange, GrpselError, NonFiniteInput, ParseError
-from .paths import FAMILIES, WARM_STARTS, PathConfig, solution_path
+from .paths import FAMILIES, GAMMALESS, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
@@ -184,6 +184,8 @@ def _load_problem(args):
     """The command's gamma list, penalty template, column names and design,
     and the name of its grid's second column (``lambda2`` for sgl)."""
     gammas = _parse_gammas(args.gamma)
+    if gammas and args.penalty in GAMMALESS:
+        raise ConfigError(f"--penalty {args.penalty} has no gamma; drop --gamma")
     try:
         if args.penalty == "sgl":
             pen = PenaltySpec("sgl", lam=0.0, lam2=args.lambda2 or 0.0)
@@ -412,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="column_name,group_id CSV")
         p.add_argument("--penalty", required=True, choices=list(FAMILIES))
         p.add_argument("--gamma", default=None,
-                       help="concavity parameter(s), comma list; 'inf' allowed")
+                       help="concavity parameter(s), comma list; 'inf' allowed; "
+                            "not for glasso or sgl")
         p.add_argument("--lambda2", type=float, default=None,
                        help="sgl group-level penalty")
         p.add_argument("--weights", default="sqrt", choices=["sqrt", "pow", "file"])

@@ -102,11 +102,6 @@ class GroupedDesign:
         return np.array([start for start, _ in self.groups])
 
     @cached_property
-    def x_blocks(self) -> list:
-        """Each group's block ``X_j`` and its transpose, as views of ``X``."""
-        return [(self.X[:, a:a + d], self.X[:, a:a + d].T) for a, d in self.groups]
-
-    @cached_property
     def gram_rows(self) -> list:
         """Per group, ``X_j'X/n`` (d_j x p) once ``gram_row`` has built it, else None.
 
@@ -125,12 +120,13 @@ class GroupedDesign:
     @cached_property
     def block_grams(self) -> list:
         """Each group's Gram ``X_j'X_j/n`` as rows of Python floats (read-only)."""
-        return [(Xt @ Xj / self.n).tolist() for Xj, Xt in self.x_blocks]
+        return [(self.X[:, a:a + d].T @ self.X[:, a:a + d] / self.n).tolist()
+                for a, d in self.groups]
 
     @cached_property
     def block_lipschitz(self) -> list:
         """Each group's block Lipschitz constant, the top eigenvalue of ``X_j'X_j/n``."""
-        return [float(np.linalg.eigvalsh(Xt @ Xj / self.n)[-1]) for Xj, Xt in self.x_blocks]
+        return [float(np.linalg.eigvalsh(np.array(G))[-1]) for G in self.block_grams]
 
     def group_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-group sums of an internal-order vector of length p."""

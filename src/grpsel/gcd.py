@@ -1,10 +1,9 @@
 """The block-descent engine, and group coordinate descent for 2-norm penalties.
 
 Every solver in the package cycles over the groups, exactly minimizes a
-one-group (or one-coordinate) surrogate and keeps a running vector: the
-residual ``r = y - Xb`` for the bi-level sweeps, the loss gradient
-``c = X'r/n`` for the 2-norm families.  That loop is written once, in
-``_descend``: starting values, the running vector and its periodic
+one-group (or one-coordinate) surrogate and keeps one running vector, the
+loss gradient ``c = X'(y - Xb)/n``.  That loop is written once, in
+``_descend``: starting values, the running gradient and its periodic
 refresh, the convergence and non-finite tests, the per-update descent
 check and the ``FitResult``.  Each family supplies only one sweep
 and its stationarity check: ``fit_gcd`` here, ``fit_lcd`` and
@@ -21,13 +20,13 @@ fits; each step is guaranteed not to increase the objective.  Pathwise fits
 each fit from its neighbor.
 
 The running gradient (glmnet's covariance updates: Friedman, Hastie &
-Tibshirani 2010, JSS 33(1)).  ``fit_gcd`` and ``fit_gcd_columns`` keep
-``c = X'(y - Xb)/n`` instead of the residual, so a visit reads
-``z_j = c_j + b_j`` with no product, and a move of group j by ``diff`` is
-one product ``c -= diff @ R_j`` with ``R_j = X_j'X/n``
-(``design.gram_row``, built the first time group j moves and kept on the
-design).  Only the groups that ever move get their d_j x p rows, which on
-a wide design is a small share of the p x p Gram matrix.
+Tibshirani 2010, JSS 33(1)).  Every sweep, and each column of
+``fit_gcd_columns``, keeps ``c`` instead of the residual, so a visit of
+group j reads ``c_j`` with no product (``z_j = c_j + b_j`` here), and a
+move of group j by ``diff`` is one product ``c -= diff @ R_j`` with ``R_j
+= X_j'X/n`` (``design.gram_row``, built the first time group j moves and
+kept on the design).  Only the groups that ever move get their d_j x p
+rows, which on a wide design is a small share of the p x p Gram matrix.
 
 Skipping zero groups.  Each cycle starts with the group norms of ``c``,
 which for a zero group is ``z_j``.  Walking the groups in order, the sweep
@@ -86,9 +85,8 @@ class FitResult:
     coordinates, which is what warm starts and the objective use.  The
     penalty point is the solver's ``PenaltySpec`` or ``SolutionPath.grid``.
     ``residual_drift`` is the largest entry of the difference between the
-    solver's running vector at the end and the same vector recomputed from
-    ``coef``: the loss gradient ``X'r/n`` for the 2-norm families, the
-    residual ``r`` for the bi-level ones.
+    solver's running gradient at the end and the loss gradient ``X'r/n``
+    recomputed from ``coef``.
     """
 
     beta: np.ndarray
@@ -175,32 +173,30 @@ def _extrapolate(window):
 
 
 def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
-             check_descent, accelerate=False, gradient=False) -> FitResult:
+             check_descent, accelerate=False) -> FitResult:
     """The cycle loop shared by every solver.
 
-    ``sweep(b, v, note)`` runs one cycle over the groups, updating the
-    coefficients ``b`` and the running vector ``v`` in place, calls
-    ``note()`` (when it is not None) after every group or coordinate
-    update, and returns the largest coefficient move of the cycle.  ``v``
-    is the residual ``r = y - Xb``, or with ``gradient`` the loss gradient
-    ``X'r/n``; it is recomputed from ``b`` at the start and every 100
+    ``sweep(b, c, note)`` runs one cycle over the groups, updating the
+    coefficients ``b`` and the running gradient ``c = X'(y - Xb)/n`` in
+    place, calls ``note()`` (when it is not None) after every group or
+    coordinate update, and returns the largest coefficient move of the
+    cycle.  ``c`` is recomputed from ``b`` at the start and every 100
     cycles.  ``stationarity(b, g)`` is the family's stationarity residual
     at the loss gradient ``g``.  Convergence is declared when no
     coefficient moves by more than ``tol`` over a cycle; if ``max_iter``
-    cycles pass without that, or ``v`` turns non-finite, the last iterate
+    cycles pass without that, or ``c`` turns non-finite, the last iterate
     is returned with ``converged=False``.  With ``accelerate``, every
     ``ANDERSON_K + 1`` unconverged cycles end in an Anderson attempt
-    (module docstring).  An accepted point refreshes ``v`` and is
+    (module docstring).  An accepted point refreshes ``c`` and is
     ``note()``d; a singular or non-finite system skips it.
     """
     n, p, X, y = design.n, design.p, design.X, design.y
     b = _start(design, init)
 
     def fresh(b):
-        r = y - X @ b if np.any(b) else y.copy()
-        return X.T @ r / n if gradient else r
+        return X.T @ (y - X @ b if np.any(b) else y) / n
 
-    v = fresh(b)
+    c = fresh(b)
 
     note = None
     max_increase = None
@@ -220,9 +216,9 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
     window, size = [], ANDERSON_K + 1 if accelerate and ANDERSON_K else 0
     for it in range(1, max_iter + 1):
         iterations = it
-        delta = sweep(b, v, note)
-        if not np.isfinite(v).all():
-            break  # a non-finite running vector can never count as converged
+        delta = sweep(b, c, note)
+        if not np.isfinite(c).all():
+            break  # a non-finite running gradient can never count as converged
         if delta <= tol:
             converged = True
             break
@@ -232,16 +228,16 @@ def _descend(design, pen: PenaltySpec, init, sweep, stationarity, tol, max_iter,
                 point, window = _extrapolate(window), []
                 if point is not None and objective(design, point, pen) < objective(design, b, pen):
                     b[:] = point
-                    v = fresh(b)
+                    c = fresh(b)
                     if note:
                         note()
         if it % 100 == 0:
-            v = fresh(b)  # guard against floating-point drift in the running vector
+            c = fresh(b)  # guard against floating-point drift in the running gradient
 
     # one residual and one gradient for the drift, the objective and the stationarity
     r = y - X @ b
     g = X.T @ r / n
-    drift = float(np.max(np.abs(v - (g if gradient else r)))) if p else 0.0
+    drift = float(np.max(np.abs(c - g))) if p else 0.0
     return FitResult(
         beta=design.back_transform(b),
         coef=b,
@@ -312,7 +308,7 @@ def fit_gcd(
         return delta
 
     return _descend(design, pen, init, sweep, lambda b, g: _kkt(design, pen, b, g),
-                    tol, max_iter, check_descent, gradient=True)
+                    tol, max_iter, check_descent)
 
 
 def _check_gcd(design, pen, name):

@@ -23,6 +23,7 @@ __all__ = ["FAMILIES", "Family", "PathConfig", "fit_path", "fit_path_lcd",
            "fit_path_sgl", "solution_path"]
 
 WARM_STARTS = ("previous_lambda", "group_lasso_init")
+GAMMALESS = ("glasso", "sgl")  # families without a gamma to vary
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,9 @@ FAMILIES = {
 class PathConfig:
     """Grid and solver settings shared by path fits and cross-validation.
 
-    ``gamma_grid`` applies to every family but sgl; ``None`` means the
-    single value carried by the penalty spec.  For the sgl family the
-    group-level parameter follows the grid as
+    ``gamma_grid`` applies to every family but glasso and sgl, which
+    refuse one; ``None`` means the single value carried by the penalty
+    spec.  For the sgl family the group-level parameter follows the grid as
     ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
     """
 
@@ -120,8 +121,11 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
     if config.warm_start not in WARM_STARTS:
         raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
     family = FAMILIES[pen_template.family]
-    if pen_template.family == "sgl" or config.gamma_grid is None:
+    if config.gamma_grid is None:
         pens = [pen_template]
+    elif pen_template.family in GAMMALESS:
+        raise ConfigError(f"{pen_template.family} has no gamma to vary; "
+                          "gamma_grid must be None")
     else:
         for i, g in enumerate(config.gamma_grid):
             if g in config.gamma_grid[:i]:
@@ -148,7 +152,8 @@ def solution_path(
     With ``group_lasso_init`` every 2-norm fit starts instead from the
     group LASSO solution at the same lambda (itself a chained path).
     ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
-    Non-converged points are recorded, not raised; a repeated gamma raises ``ConfigError``.
+    Non-converged points are recorded, not raised; a repeated gamma, or a
+    ``gamma_grid`` for glasso or sgl, raises ``ConfigError``.
     """
     if config is None:
         config = PathConfig()

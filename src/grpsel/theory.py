@@ -200,34 +200,6 @@ def eta3(problem: OracleProblem, lam: float, c_star: float, c_sup: float) -> flo
     return float(count * _h(t3, m_star * d_max))
 
 
-def rate_constants(problem: OracleProblem, c_sup: float = None):
-    """The scaling constants (lam_n, tau_n, lam_n_star) behind the corollaries.
-
-    lam_n is the noise level of the null-group correlations, tau_n the
-    accuracy scale of the oracle norms; lam_n_star is the counterpart under
-    sparse Riesz bounds and needs ``c_sup`` (None is returned otherwise).
-    """
-    J, s = problem.design.J, len(problem.support)
-    n, sig = problem.design.n, problem.sigma
-    num1 = 2 * math.log(max(J - s, 1))
-    lam_n = sig * math.sqrt(num1 / (n * problem.d_min_null())) if num1 > 0 else 0.0
-    num2 = 2 * math.log(max(s, 1))
-    tau_n = (
-        sig * math.sqrt(num2 / (n * problem.c1 * problem.d_min_support()))
-        if num2 > 0
-        else 0.0
-    )
-    lam_n_star = None
-    if c_sup is not None:
-        d_s = max(problem.d_max_support(), 1.0)
-        lam_n_star = (
-            2 * sig * math.sqrt(2 * c_sup * d_s * math.log(J - s) / n)
-            if J - s > 1
-            else 0.0
-        )
-    return lam_n, tau_n, lam_n_star
-
-
 def _group_subsets(groups, max_dim=None, base=(), extra=None):
     """Group index subsets that add at least one group to ``base``.
 

@@ -304,7 +304,7 @@ def _pending_freeze_start():
     # group 1 starts at (0.3, 2e-10, 0): the first visit zeroes coordinate 0,
     # leaving the 1-norm just above the freeze level, then zeroes coordinate
     # 1 and freezes the group while the move of coordinate 0 is still
-    # pending; it must reach the residual before the group is pinned
+    # pending; it must reach the running gradient along with the freeze
     beta = np.array([1.0, -0.8, 0.6, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5])
     design, _ = gaussian_design(60, [3, 3, 3], beta=beta, sigma=0.5, seed=7,
                                 orthonormalize=False)

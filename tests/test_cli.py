@@ -511,3 +511,21 @@ def test_bad_penalty_values_exit_2(tmp_path, fig3_files, capsys, command, flags)
     if any(flag.startswith("--weights-exponent") for flag in flags):
         assert "--weights-exponent" in err
     assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("command,penalty", [("path", "glasso"), ("cv", "glasso"),
+                                             ("path", "sgl"), ("fit", "sgl")])
+def test_gamma_for_a_family_without_one_exits_2_before_reading(
+    tmp_path, fig3_files, capsys, monkeypatch, command, penalty
+):
+    # glasso and sgl have no gamma: a list would fit (and score) the same
+    # grid once per value, a single value would be ignored
+    from grpsel import cli
+
+    monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
+    level = ["--lambda", "0.1"] if command == "fit" else []
+    code = main([command, *data_args(fig3_files), "--penalty", penalty, "--gamma", "2.7,inf",
+                 *level, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --penalty {penalty} has no gamma")
+    assert list(tmp_path.glob("o*")) == []

@@ -12,6 +12,7 @@ from grpsel.bilevel import (
     cmcp_lambda_max,
     fit_lcd,
     fit_sparse_group_lasso,
+    least_squares_init,
     sgl_lambda_max,
 )
 from grpsel.design import GroupedDesign, build_design, group_norms, rebuild_design
@@ -355,7 +356,7 @@ def test_batched_fits_match_fit_gcd(correlation):
                     # the zero fits stop after one cycle from a zero start only
                     assert not converged[:8].any()
                     assert converged[8:].all() == (init is None)
-    # long fits, past the residual refresh every 100 cycles
+    # long fits, past the gradient refresh every 100 cycles
     slow, _ = gaussian_design(60, sizes, beta=beta, correlation=0.9, seed=11)
     pen = PenaltySpec("gmcp", lam=0.05 * lambda_max(slow), gamma=3.0)
     B, iterations, converged = fit_gcd_columns(slow, pen, Y[:, :2], tol=1e-10)
@@ -407,6 +408,60 @@ def test_gram_rows_are_built_for_the_groups_that_move_only():
     B, _, _ = fit_gcd_columns(other, pen, np.column_stack([other.y, 3.0 * other.y]))
     assert _filled(design) >= set(np.flatnonzero(design.group_l2(B[:, 0])).tolist())
     assert not _filled(rebuild_design(design, np.arange(40)))
+
+
+def _rows_design(family):
+    # p = 24 < n = 50, correlation 0.3; groups 0 and 3 are active
+    beta = [1.0, -0.8, 0.6] + [0.0] * 6 + [0.5, 0.0, -0.5] + [0.0] * 12
+    return gaussian_design(50, [3] * 8, beta=beta, sigma=0.5, correlation=0.3, seed=3,
+                           orthonormalize=False,
+                           weights=("pow", 0.5) if family == "gbridge" else "sqrt")[0]
+
+
+def _rows_fitter(family, design):
+    # the penalty, a fit from init for at most max_iter cycles, and the start
+    if family == "sgl":
+        lam = 0.4 * sgl_lambda_max(design)
+        return (PenaltySpec("sgl", lam=lam, lam2=lam),
+                lambda init, **kw: fit_sparse_group_lasso(design, lam, lam, init=init, **kw),
+                np.zeros(design.p))
+    if family == "cmcp":
+        pen, start = PenaltySpec("cmcp", lam=0.5 * cmcp_lambda_max(design)), np.zeros(design.p)
+    else:
+        # the top comes from a copy, so that its fits build no rows on this design
+        top = bridge_lambda_upper(_rows_design(family), PenaltySpec("gbridge", lam=0.0))
+        pen, start = PenaltySpec("gbridge", lam=0.05 * top), least_squares_init(design)
+    return pen, lambda init, **kw: fit_lcd(design, pen, init=init, **kw), start
+
+
+@pytest.mark.parametrize("family", ["cmcp", "gbridge", "sgl"])
+def test_bilevel_gram_rows_are_built_for_the_groups_that_move_only(family, monkeypatch):
+    # the bi-level sweeps keep the same running gradient: a visit that moves
+    # its group (a bridge freeze included) builds that group's X_j'X/n, and
+    # no other visit does
+    design = _rows_design(family)
+    pen, fit_from, start = _rows_fitter(family, design)
+    coef, moved, zeroed = start, set(), 0
+    for _ in range(8):
+        # one cycle at a time: a group moved in the cycle iff its coefficients changed
+        fit = fit_from(coef, max_iter=1)
+        moved |= set(np.flatnonzero(design.group_l2(fit.coef - coef)).tolist())
+        if np.any((design.group_l2(coef) > 0) & (design.group_l2(fit.coef) == 0)):
+            zeroed += 1  # for gbridge, a group froze in this cycle
+            assert fit.residual_drift <= 1e-12
+        coef = fit.coef
+        assert _filled(design) == moved
+    assert 0 < len(moved) and (family == "gbridge" or len(moved) < design.J)
+    assert family != "gbridge" or zeroed > 0
+    for j in moved:
+        exact = design.X[:, design.group_slice(j)].T @ design.X / design.n
+        np.testing.assert_allclose(design.gram_rows[j], exact, rtol=0, atol=1e-14)
+
+    # an accepted Anderson point restarts the running gradient from b
+    calls = record_extrapolations(monkeypatch)
+    fit = fit_from(start)
+    assert fit.converged and accepted_extrapolations(design, pen, calls)
+    assert fit.residual_drift <= 1e-12
 
 
 def test_wide_path_builds_fewer_gram_rows_than_groups():
@@ -636,7 +691,7 @@ def test_sgl_nan_move_is_not_applied_and_never_converges(monkeypatch):
 @pytest.mark.parametrize("case", sorted(_REFERENCE_DESIGNS))
 def test_lcd_without_descent_check_matches_separate_loop_reference(case, family, monkeypatch):
     # without check_descent the LCD sweep applies each group's moves to the
-    # residual at once; the iterates must still be those of the
+    # running gradient at once; the iterates must still be those of the
     # per-coordinate reference loop
     from oracles import fit_lcd_reference
 

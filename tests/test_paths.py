@@ -57,6 +57,21 @@ def test_repeated_gamma_is_rejected_before_any_fit(family, gammas, monkeypatch):
         kfold_cv(design, PenaltySpec(family, lam=0.0), config, K=3, seed=0)
 
 
+@pytest.mark.parametrize("family", ["glasso", "sgl"])
+def test_gamma_grid_is_refused_for_families_without_gamma(family, monkeypatch):
+    # glasso and sgl ignore gamma, so a grid would fit the same path once per value
+    from grpsel import paths
+
+    design, _ = gaussian_design(40, [2, 2], sigma=0.5, seed=4, beta=[1.0, 0.0, 0.0, -0.5],
+                                orthonormalize=family == "glasso")
+    monkeypatch.setattr(paths, "_chain", lambda *args, **kw: pytest.fail("a fit ran"))
+    config = PathConfig(n_lambda=5, gamma_grid=(2.7, math.inf))
+    with pytest.raises(ConfigError, match=f"{family} has no gamma"):
+        solution_path(design, PenaltySpec(family, lam=0.0), config)
+    with pytest.raises(ConfigError, match=f"{family} has no gamma"):
+        kfold_cv(design, PenaltySpec(family, lam=0.0), config, K=3, seed=0)
+
+
 def test_sgl_fixed_lambda2():
     flat, _ = gaussian_design(50, [2, 2], sigma=0.5, seed=3,
                               beta=np.array([1.0, 0.0, 0.0, -0.5]),

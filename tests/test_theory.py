@@ -16,7 +16,6 @@ from grpsel.theory import (
     monte_carlo_theorem1,
     oracle_ls,
     random_problem,
-    rate_constants,
     run_experiment,
     src_spectrum,
     zeta_norm,
@@ -150,25 +149,6 @@ def test_eta3_formula_and_domain():
     assert value == pytest.approx(expect, rel=1e-10)
     with pytest.raises(DomainError):
         eta3(problem, 0.01, c_star, c_sup)
-
-
-def test_rate_constants_edge_cases():
-    full = random_problem(100, [2, 2], support=[0, 1], beta_star=2.0,
-                          sigma=1.0, seed=9)
-    lam_n, tau_n, lam_star = rate_constants(full, c_sup=1.2)
-    assert lam_n == 0.0  # no null groups
-    assert tau_n > 0.0
-    assert lam_star == 0.0  # J - |S| <= 1
-    single = random_problem(100, [2, 2, 2], support=[0], beta_star=2.0,
-                            sigma=1.0, seed=10)
-    lam_n, tau_n, lam_star = rate_constants(single, c_sup=1.2)
-    assert tau_n == 0.0  # a single support group
-    expect = 1.0 * math.sqrt(2 * math.log(2) / (100 * 2))
-    assert lam_n == pytest.approx(expect, rel=1e-12)
-    assert lam_star == pytest.approx(
-        2 * math.sqrt(2 * 1.2 * 2 * math.log(2) / 100), rel=1e-12
-    )
-    assert rate_constants(single)[2] is None
 
 
 class TestSrcSpectrum:
