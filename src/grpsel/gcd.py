@@ -142,12 +142,17 @@ def default_min_ratio(design) -> float:
 
 
 def _start(design, init) -> np.ndarray:
-    """A fresh copy of the starting coefficients (zeros when ``init`` is None)."""
+    """A fresh copy of the starting coefficients (zeros when ``init`` is None).
+
+    A NaN or infinite start raises ``NonFiniteInput`` before any work.
+    """
     if init is None:
         return np.zeros(design.p)
     b = np.asarray(init, dtype=float).ravel().copy()
     if b.shape != (design.p,):
         raise ValueError("init has the wrong length")
+    if not np.isfinite(b).all():
+        raise NonFiniteInput("init contains NaN or infinite entries")
     return b
 
 
@@ -328,6 +333,16 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     sum, zero-group skip and stops.  Only the order of floating-point sums
     differs.  A column that has stopped no longer changes.  Each column
     keeps its running gradient, as ``fit_gcd`` does.
+
+    The per-call cost is numpy overhead, so each cycle evaluates the skip
+    test of every group and column at once, as a J x R mask of the columns
+    whose group j must be updated, and reads it from two lists of Python
+    bools: some column needs group j, every column does.  ``moved`` changes
+    only when a group moves, so the mask is recomputed only then, and a
+    group that no column needs costs one list lookup.  When every running
+    column needs group j and moves, the update works on plain slices
+    (``c[a:e]``, ``b[a:e]``, ``c -= R_j' diff`` in place); index arrays are
+    built only for a partial set of columns.
     """
     _check_gcd(design, pen, "fit_gcd_columns")
     Y = np.asarray(Y, dtype=float)
@@ -339,29 +354,41 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     B = np.zeros((design.p, R)) if init is None else np.array(init, dtype=float)
     if B.shape != (design.p, R):
         raise ValueError("init has the wrong shape")
+    if not np.isfinite(B).all():
+        raise NonFiniteInput("init contains NaN or infinite entries")
     thresholds = (design.cj * pen.lam).tolist()
+    lam_j = np.array(thresholds)[:, None]
+    bounds = [(a, a + d) for a, d in design.groups]
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
     run, b = np.arange(R), B.copy()  # the columns still cycling, and their coefficients
-    c = X.T @ (Y - X @ b) / n  # their running gradients
+    c = X.T @ (Y - X @ b if b.any() else Y) / n  # their running gradients
     for it in range(1, max_iter + 1):
         c_norms = np.sqrt(np.add.reduceat(c * c, design.starts))
         nonzero = np.logical_or.reduceat(b != 0, design.starts)
         delta, moved = np.zeros((2, run.size))
-        for j, (a, e) in enumerate((a, a + d) for a, d in design.groups):
-            # the columns whose group j the skip of fit_gcd does not leave at zero
-            k = np.flatnonzero(nonzero[j] | ~(c_norms[j] + moved <= thresholds[j]))
-            if k.size:
-                new = solve_single_group_columns(c[a:e, k] + b[a:e, k], thresholds[j],
-                                                 pen.gamma, pen.family)
-                diff = new - b[a:e, k]
-                step = np.max(np.abs(diff), axis=0)
-                delta[k] = np.fmax(delta[k], step)
-                up = step > 0  # False for a NaN step, as in fit_gcd
-                if up.any():
-                    k, diff = k[up], diff[:, up]
-                    c[:, k] -= design.gram_row(j).T @ diff
-                    b[a:e, k] = new[:, up]
-                    moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        stale = True
+        for j, (a, e) in enumerate(bounds):
+            if stale:  # moved has changed: redo the skip test of every group and column
+                mask = nonzero | ~(c_norms + moved <= lam_j)
+                some, every, stale = mask.any(axis=1).tolist(), mask.all(axis=1).tolist(), False
+            if not some[j]:
+                continue  # the skip of fit_gcd leaves group j at zero in every column
+            k = slice(None) if every[j] else np.flatnonzero(mask[j])
+            old = b[a:e, k]
+            new = solve_single_group_columns(c[a:e, k] + old, thresholds[j], pen.gamma,
+                                             pen.family)
+            diff = new - old
+            step = np.max(np.abs(diff), axis=0)
+            delta[k] = np.fmax(delta[k], step)
+            up = step > 0  # False for a NaN step, as in fit_gcd
+            if not up.all():
+                if not up.any():
+                    continue
+                k, diff, new = np.flatnonzero(mask[j])[up], diff[:, up], new[:, up]
+            c[:, k] -= design.gram_row(j).T @ diff
+            b[a:e, k] = new
+            moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
+            stale = True
         iterations[run] = it
         finite = np.isfinite(c).all(axis=0)  # a non-finite gradient stops unconverged
         converged[run] = finite & (delta <= tol)

@@ -27,9 +27,14 @@ from .penalties import PenaltySpec, objective
 from .scenarios import equicorrelated_columns
 
 SUBSET_GUARD = 1_000_000
-# Replicates per batched descent: enough to spread the per-cycle Python cost,
-# few enough that the n x _MC_BLOCK working arrays (peak memory) stay small.
-_MC_BLOCK = 100
+# Columns (replicates x starts) per batched descent.  A cycle of
+# fit_gcd_columns costs about the same numpy call overhead at any width, so
+# a wider block spreads it over more fits.  Memory bounds it: while a block
+# is set up, its draws and Y are alive, n x _MC_BLOCK floats each (0.8 MB at
+# n = 200), and nonzero starts add X @ B and the residual for the first
+# gradient.  At 500, the benchmark's theory-mc pass peaks 1.1 MB above
+# blocks of 100 (median RSS 43.1 against 42.0 MB).
+_MC_BLOCK = 500
 
 # Restarts whose objectives agree to this relative tolerance count as one
 # minimum: the first of them is kept, so rounding does not pick the fit.
@@ -373,11 +378,13 @@ def monte_carlo_theorem1(
     restarts since strict convexity is no longer guaranteed, keeping the
     first start whose objective is within ``_KEEP_RTOL`` of the smallest.
     The replicates and their restarts are the columns of one
-    ``fit_gcd_columns`` descent per block of ``_MC_BLOCK`` replicates, drawn
-    in the stream order of one fit at a time.  ``n_nonconverged`` counts the
-    replicates whose kept fit stopped without converging; they are still
-    compared against the oracle.  ``cycles_median`` and ``cycles_max`` are
-    taken over the kept fits' cycle counts.
+    ``fit_gcd_columns`` descent per block of ``_MC_BLOCK // n_starts``
+    replicates (at least one), drawn in the stream order of one fit at a
+    time, so the report does not depend on the block size.
+    ``n_nonconverged`` counts the replicates whose kept fit stopped without
+    converging; they are still compared against the oracle.
+    ``cycles_median`` and ``cycles_max`` are taken over the kept fits' cycle
+    counts.
     """
     if reps < 1 or n_starts < 1:
         raise ValueError("need at least one replicate and one start")
@@ -423,14 +430,20 @@ def monte_carlo_theorem1(
     p, mean = design.p, design.X @ problem.true_coef
     mismatches = n_nonconverged = 0
     cycles = []  # of each replicate's kept fit
-    for first in range(0, reps, _MC_BLOCK):
-        k = min(_MC_BLOCK, reps - first)
+    block = max(1, _MC_BLOCK // n_starts)  # replicates per descent
+    for first in range(0, reps, block):
+        k = min(block, reps - first)
         # per replicate in stream order: its noise, then the start of each restart
         draws = rng.standard_normal((k, n + (n_starts - 1) * p))
         # column i*n_starts + s fits replicate i from start s (start 0 is zero)
         inits = np.hstack([np.zeros((k, p)), draws[:, n:]]).reshape(-1, p).T
-        Y = np.repeat(mean[:, None] + sig * draws[:, :n].T, n_starts, axis=1)
-        del draws  # unused during the descent
+        noise = draws[:, :n]
+        noise *= sig
+        noise += mean  # each row is now a replicate's response, built in place
+        # one C-ordered copy, n_starts columns per replicate (np.repeat makes two)
+        Y = np.ascontiguousarray(np.broadcast_to(noise.T[:, :, None], (n, k, n_starts)))
+        Y = Y.reshape(n, k * n_starts)
+        del draws, noise  # unused during the descent
         B, its, conv = fit_gcd_columns(design, pen, Y, inits, tol=fit_tol)
         Y = Y[:, ::n_starts]  # one column per replicate
         B = B.reshape(p, k, n_starts)
@@ -621,16 +634,29 @@ EXPERIMENTS = {
 
 
 def _convert(name, key, value, kind):
-    """A config value as the annotated type: ``int``, ``float`` or ``list[...]``."""
+    """A config value as the annotated type: ``int``, ``float`` or ``list[...]``.
+
+    Nothing is truncated: an ``int`` parameter (or item) refuses a float with
+    a fractional part, such as ``2.5``, and accepts an integral float, such
+    as ``500.0``, as that integer.  A boolean is not a number for any
+    parameter.
+    """
     item = typing.get_args(kind)
     try:
         if not item:
-            return kind(value)
+            return _number(value, kind)
         if isinstance(value, (list, tuple)):
-            return [item[0](v) for v in value]
+            return [_number(v, item[0]) for v in value]
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name!r} parameter {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _number(value, kind):
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise TypeError(f"{value!r} is not an exact {kind.__name__}")
+    return kind(value)
 
 
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")

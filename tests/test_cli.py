@@ -446,9 +446,16 @@ def test_theorem1_unknown_key_raises_before_any_replicate(tmp_path, capsys, monk
     ("src", {"d_star": 0}),
     ("irrepresentable", {"problems": 0}),
     ("zeta", {"m": 0}),
+    # integer parameters are never truncated, and a boolean is no integer
+    ("theorem1", {"reps": 2.5}),
+    ("theorem1", {"seed": 1.5}),
+    ("theorem1", {"n": 40.9}),
+    ("theorem1", {"reps": True}),
+    ("theorem1", {"group_sizes": [2.5, 2]}),
 ], ids=["draws_0", "t_at_1", "k_0", "reps_0", "n_1", "sigma_0", "lam_negative",
         "gamma_1", "correlation_1", "beta_star_negative", "n_starts_0", "seed_negative",
-        "d_star_0", "problems_0", "m_0"])
+        "d_star_0", "problems_0", "m_0", "reps_fraction", "seed_fraction", "n_fraction",
+        "reps_bool", "sizes_fraction"])
 def test_out_of_range_theory_parameter_exits_2(tmp_path, capsys, experiment, params):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": experiment, "params": params}))

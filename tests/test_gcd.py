@@ -377,6 +377,45 @@ def test_batched_fits_match_fit_gcd(correlation):
             fit_gcd_columns(design, PenaltySpec(family, lam=lam), Y)
 
 
+def test_batched_skip_test_follows_moves_within_a_cycle():
+    # group 2 sits under its threshold at the start of the first cycle in
+    # every column, but group 0, which it hides behind, moves in five of the
+    # columns and pushes c_2 past the threshold in three: each column's skip
+    # test must be redone after the moves made earlier in the same cycle
+    rng = np.random.default_rng(5)
+    n, lam = 50, 0.5
+    x0 = rng.standard_normal((n, 2))
+    X = np.hstack([x0, rng.standard_normal((n, 2)),
+                   0.8 * x0 + 0.6 * rng.standard_normal((n, 2))])
+    design = build_design(X, rng.standard_normal(n), np.repeat(np.arange(3), 2))
+    X0, X2 = design.X[:, :2], design.X[:, 4:]
+    hide = X2.T @ X0 / n
+    Y = []
+    for k in range(12):  # eight signal columns, four whose group 0 stays zero
+        u = 2.0 * rng.standard_normal(2)
+        y = (1.0 if k < 8 else 0.05) * (X0 @ u - X2 @ (0.9 * hide @ u))
+        y = y + 0.1 * rng.standard_normal(n)
+        Y.append(y - y.mean())
+    Y = np.column_stack(Y)
+    assert all(design.group_l2(design.X.T @ y / n)[2] <= lam * design.cj[2] for y in Y.T)
+    for family, gamma in [("glasso", math.inf), ("gmcp", 3.0), ("gscad", 3.7)]:
+        pen = PenaltySpec(family, lam=lam, gamma=gamma)
+        first = np.column_stack([fit_gcd(design.with_response(y), pen, max_iter=1).coef
+                                 for y in Y.T])
+        assert np.flatnonzero(first[:2].any(axis=0)).tolist() == [1, 4, 5, 6, 7]
+        assert np.flatnonzero(first[4:].any(axis=0)).tolist() == [1, 4, 5]
+        for max_iter in (10_000, 1):
+            B, iterations, converged = fit_gcd_columns(design, pen, Y, tol=1e-10,
+                                                       max_iter=max_iter)
+            for k, y in enumerate(Y.T):
+                ref = fit_gcd(design.with_response(y), pen, tol=1e-10, max_iter=max_iter)
+                where = f"{family} max_iter={max_iter} column {k}"
+                assert iterations[k] == ref.iterations, where
+                assert converged[k] == ref.converged, where
+                np.testing.assert_allclose(B[:, k], ref.coef, rtol=0, atol=1e-12,
+                                           err_msg=where)
+
+
 def _filled(design):
     return {j for j, row in enumerate(design.gram_rows) if row is not None}
 
@@ -658,6 +697,29 @@ def test_non_finite_step_never_reports_converged(solver):
     y[3] = np.nan
     nan_response = replace(design, y=y)
     assert not _reports_converged(lambda: fit(nan_response, np.zeros(design.p)))
+
+
+_NON_FINITE_STARTS = {
+    **_SOLVERS,
+    "columns": (True, lambda d, init: fit_gcd_columns(
+        d, PenaltySpec("gmcp", lam=0.1), np.column_stack([d.y, -d.y]),
+        np.column_stack([np.zeros(d.p), init]))),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no cycle runs on the bad start
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solver", sorted(_NON_FINITE_STARTS))
+def test_non_finite_start_fails_before_any_work(solver, bad, monkeypatch):
+    orthonormalize, fit = _NON_FINITE_STARTS[solver]
+    design, _ = gaussian_design(50, [2, 3, 2], beta=[1.0, 1.0, 0, 0, 0, 0, 0],
+                                seed=1, orthonormalize=orthonormalize)
+    init = np.zeros(design.p)
+    init[3] = bad
+    # no sweep runs: a group move would build a Gram row first
+    monkeypatch.setattr(GroupedDesign, "gram_row", lambda *a: pytest.fail("a sweep ran"))
+    with pytest.raises(NonFiniteInput, match="init contains NaN or infinite entries"):
+        fit(design, init)
 
 
 def test_gcd_nan_move_is_not_applied_and_never_converges(monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ class TestMonteCarloTheorem1:
                                       n_starts=2)
         assert report.cycles_median == report.cycles_max == kept_cycles
 
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, n_starts):
+        # the draws follow one stream order and the kept start is chosen per
+        # replicate, whichever replicates share a descent; 103 replicates
+        # leave a partial last block at every size
+        from grpsel import theory
+
+        problem = random_problem(60, [2] * 5, support=[0, 1], beta_star=1.0, sigma=1.0,
+                                 seed=21)
+        reports = []
+        for block in (7, 100, 500):
+            monkeypatch.setattr(theory, "_MC_BLOCK", block)
+            reports.append(asdict(monte_carlo_theorem1(problem, lam=0.25, gamma=3.0, reps=103,
+                                                       seed=22, n_starts=n_starts)))
+        assert reports[0]["mismatches"] > 0 and reports[0]["n_nonconverged"] == 0
+        assert reports[0] == reports[1] == reports[2]
+
 
 class TestRunExperiment:
     def test_tail_bound_experiment_passes(self):
@@ -354,6 +372,24 @@ class TestRunExperiment:
             "PASS", "FAIL", "CONDITION_VIOLATED")
         with pytest.raises(ConfigError, match="rank 3"):
             run_experiment({"experiment": name, "params": {**params, "n": 4}})
+
+    @pytest.mark.parametrize("params", [
+        {"reps": 2.5}, {"seed": 1.5}, {"n": 40.9}, {"reps": True}, {"group_sizes": [2.5, 2]},
+    ], ids=["reps_fraction", "seed_fraction", "n_fraction", "reps_bool", "sizes_fraction"])
+    def test_integer_parameters_are_not_truncated(self, params, monkeypatch):
+        from grpsel import theory
+
+        monkeypatch.setattr(theory, "monte_carlo_theorem1", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match=repr(next(iter(params)))):
+            run_experiment({"experiment": "theorem1", "params": params})
+
+    def test_integral_float_parameters_are_the_integers(self):
+        params = {"n": 40, "group_sizes": [2, 2, 2], "reps": 5, "seed": 2}
+        exact = run_experiment({"experiment": "theorem1", "params": params})
+        floats = {k: [float(v) for v in value] if isinstance(value, list) else float(value)
+                  for k, value in params.items()}
+        assert run_experiment({"experiment": "theorem1", "params": floats}) == exact
+        assert exact["reps"] == 5
 
     def test_theorem1_negative_control_reports_condition(self):
         rep = run_experiment({
