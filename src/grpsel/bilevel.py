@@ -26,11 +26,8 @@ survive the mapping back to the caller's coordinates:
   quadratic is majorized with the block Lipschitz constant L_j (top
   eigenvalue of ``X_j'X_j/n``, cached per design), and the exact proximal map
   is the coordinate-wise soft threshold followed by the group soft
-  threshold.  A visit reads ``c_j`` and makes at most one product, the
-  move's ``c -= diff @ R_j``; the rest is Python floats with the IEEE
-  operations of the numpy formulas, but ``||soft(zt)||**2`` is summed left
-  to right.  A NaN move is not applied and makes the cycle's largest move
-  NaN.
+  threshold.  It runs ``fit_gcd``'s sweep (``gcd`` docstring) with its
+  own visit and skip values.
 
 Both sweeps run with the engine's Anderson extrapolation (``gcd``
 docstring), which keeps the current iterate's zeros at zero: frozen bridge
@@ -65,7 +62,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .gcd import FitResult, SolutionPath, _descend, _start
+from .gcd import FitResult, SolutionPath, _descend, _group_sweep, _start
 # ``objective`` and ``soft_threshold_vec`` are not called here; the traced
 # benchmark looks them up in this module by name.
 from .penalties import (  # noqa: F401
@@ -294,45 +291,23 @@ def fit_sparse_group_lasso(
         raise ValueError(
             "fit_sparse_group_lasso needs a design built with orthonormalize=False"
         )
-    bounds = [(start, start + size) for start, size in design.groups]
     lips = design.block_lipschitz
-    # per group: L, both thresholds in the units of zt and sqrt(L); the skip's factors
-    steps = [(L, lam1 / L, lam2 / L, math.sqrt(L)) for L in lips]
+    steps = [(L, lam1 / L, lam2 / L) for L in lips]  # L, both thresholds in units of zt
     slack = SKIP_SLACK * np.sqrt(design.dims)
-    rates = (np.sqrt(lips) + slack).tolist()
 
-    def sweep(b, c, note):
-        need = (design.group_l2(np.maximum(np.abs(c) - lam1, 0.0))
-                + slack * (lam1 + lam2)).tolist()
-        nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
-        delta = moved = 0.0
-        for j, (a, e) in enumerate(bounds):
-            if not nonzero[j] and need[j] + rates[j] * moved <= lam2:
-                # the exact update leaves this zero group at zero (see above)
-                if note:
-                    note()
-                continue
-            L, t1, t2, root = steps[j]
-            old = b[a:e].tolist()
-            u = [soft_threshold(bk + ck / L, t1) for ck, bk in zip(c[a:e].tolist(), old)]
-            ss = 0.0
-            for v in u:
-                ss += v * v
-            new = _shrunk(u, t2, math.sqrt(ss))
-            diff = [v - w for v, w in zip(new, old)]
-            ss = 0.0
-            for v in diff:
-                ss += v * v
-            step = ss if ss != ss else max(map(abs, diff))  # NaN: not applied, delta NaN
-            if step > 0:
-                c -= np.dot(np.array(diff), design.gram_row(j))
-                b[a:e] = new
-                moved += root * math.sqrt(ss)
-            delta = max(delta, step) if step == step else step
-            if note:
-                note()
-        return delta
+    def visit(j, c_j, b_j):
+        L, t1, t2 = steps[j]
+        u = [soft_threshold(bk + ck / L, t1) for ck, bk in zip(c_j, b_j)]
+        ss = 0.0
+        for v in u:
+            ss += v * v
+        return _shrunk(u, t2, math.sqrt(ss))
 
+    sweep = _group_sweep(
+        design,
+        lambda c: (design.group_l2(np.maximum(np.abs(c) - lam1, 0.0))
+                   + slack * (lam1 + lam2)).tolist(),
+        [lam2] * design.J, (np.sqrt(lips) + slack).tolist(), np.sqrt(lips).tolist(), visit)
     return _descend(design, pen, init, sweep, lambda b, g: _sgl_kkt(design, b, g, lam1, lam2),
                     tol, max_iter, check_descent, accelerate=True)
 

@@ -28,25 +28,27 @@ move of group j by ``diff`` is one product ``c -= diff @ R_j`` with ``R_j
 kept on the design).  Only the groups that ever move get their d_j x p
 rows, which on a wide design is a small share of the p x p Gram matrix.
 
-Skipping zero groups.  Each cycle starts with the group norms of ``c``,
-which for a zero group is ``z_j``.  Walking the groups in order, the sweep
-keeps ``moved``, the sum of ``||diff||`` over the updates made so far in
-the cycle, and leaves a zero group j untouched when ``||c_j|| + moved <=
-lam_j`` (``||c_j||`` from the cycle's start, ``lam_j = design.cj[j] *
-lam``).  Proof that this is the exact update: with ``(1/n) X_j'X_j = I``
-every block has spectral norm ``sqrt(n)``, so
-updating group k by ``diff`` moves ``c_m`` of every other group by
-``||X_m'X_k diff||/n <= ||diff||``; hence ``||z_j|| <= ||c_j|| + moved <=
-lam_j`` at the visit, and every 2-norm threshold operator maps such a
-``z_j`` to zero.  The iterates, the cycle count and the convergence test
-are those of the sweep that updates every group.
+Skipping zero groups.  ``fit_gcd`` and ``fit_sparse_group_lasso`` share
+one sweep, ``_group_sweep``, and supply only its visit.  Walking the groups
+in order, it keeps ``moved``, the sum of ``w_k ||diff_k||`` over the
+cycle's updates so far, and leaves a zero group j untouched when ``need_j
++ rate_j * moved <= level_j``, ``need_j`` from ``c`` at the cycle's start.
+Here ``need_j = ||c_j||``, rates and weights are 1 (``1.0 * x == x``) and
+``level_j = lam_j = design.cj[j] * lam``; sgl's proof is in ``bilevel``.
+Proof that the skip is exact here: with ``(1/n) X_j'X_j = I`` every block
+has spectral norm ``sqrt(n)``, so updating group k by ``diff`` moves
+``c_m`` of every other group by ``||X_m'X_k diff||/n <= ||diff||``; hence
+``||z_j|| <= ||c_j|| + moved <= lam_j`` at the visit, and every 2-norm
+threshold operator maps such a ``z_j`` to zero.  The iterates, the cycle
+count and the convergence test are those of the sweep that updates every
+group.
 
 Python floats.  A group update makes one numpy product, ``c -= diff @
 R_j``, and only when the group moves; a visit makes none.  The rest, from
-``z = c_j + b_j`` through the threshold to the move's largest entry and
-length, works on lists of floats with the IEEE operations of the numpy
-formulas; only the threshold's ``||z||**2`` is summed in another order (see
-``solve_single_group``).  A move with a NaN entry has a NaN step, as
+the visit through the move's largest entry and length, works on lists of
+floats with the IEEE operations of the numpy formulas; only sums of
+squares, such as the threshold's ``||z||**2`` (see ``solve_single_group``),
+are taken left to right.  A move with a NaN entry has a NaN step, as
 ``np.max`` would give: it is not applied, and the cycle's largest move is
 NaN, so the fit cannot count as converged.
 
@@ -280,22 +282,38 @@ def fit_gcd(
     """
     _check_gcd(design, pen, "fit_gcd")
     gamma, family = pen.gamma, pen.family
+    thresholds, ones = (design.cj * pen.lam).tolist(), [1.0] * design.J
+
+    def visit(j, c_j, b_j):
+        z = [ck + bk for ck, bk in zip(c_j, b_j)]
+        return solve_single_group(z, thresholds[j], gamma, family)
+
+    sweep = _group_sweep(design, lambda c: design.group_l2(c).tolist(), thresholds,
+                         ones, ones, visit)
+    return _descend(design, pen, init, sweep, lambda b, g: _kkt(design, pen, b, g),
+                    tol, max_iter, check_descent)
+
+
+def _group_sweep(design, skip_norms, levels, rates, weights, visit):
+    """``_descend``'s ``sweep(b, c, note)`` for an exact group move (module docstring).
+
+    ``visit(j, c_j, b_j)`` maps group j's gradient and coefficients, lists
+    of floats, to its new coefficients; ``skip_norms(c)`` lists ``need_j``.
+    """
     bounds = [(start, start + size) for start, size in design.groups]
-    thresholds = (design.cj * pen.lam).tolist()
 
     def sweep(b, c, note):
-        c_norms = design.group_l2(c).tolist()  # ||z_j|| of the zero groups
+        need = skip_norms(c)
         nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
         delta = moved = 0.0
         for j, (a, e) in enumerate(bounds):
-            if not nonzero[j] and c_norms[j] + moved <= thresholds[j]:
-                # the exact update leaves this zero group at zero (see above)
+            if not nonzero[j] and need[j] + rates[j] * moved <= levels[j]:
+                # the exact update leaves this zero group at zero
                 if note:
                     note()
                 continue
             old = b[a:e].tolist()
-            z = [ck + bk for ck, bk in zip(c[a:e].tolist(), old)]
-            new = solve_single_group(z, thresholds[j], gamma, family)
+            new = visit(j, c[a:e].tolist(), old)
             diff = [v - w for v, w in zip(new, old)]
             ss = 0.0
             for v in diff:
@@ -306,14 +324,13 @@ def fit_gcd(
             if step > 0:
                 c -= np.dot(np.array(diff), design.gram_row(j))
                 b[a:e] = new
-                moved += math.sqrt(ss)
+                moved += weights[j] * math.sqrt(ss)
             delta = max(delta, step) if step == step else step
             if note:
                 note()
         return delta
 
-    return _descend(design, pen, init, sweep, lambda b, g: _kkt(design, pen, b, g),
-                    tol, max_iter, check_descent)
+    return sweep
 
 
 def _check_gcd(design, pen, name):
@@ -336,13 +353,14 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
 
     The per-call cost is numpy overhead, so each cycle evaluates the skip
     test of every group and column at once, as a J x R mask of the columns
-    whose group j must be updated, and reads it from two lists of Python
-    bools: some column needs group j, every column does.  ``moved`` changes
-    only when a group moves, so the mask is recomputed only then, and a
-    group that no column needs costs one list lookup.  When every running
-    column needs group j and moves, the update works on plain slices
-    (``c[a:e]``, ``b[a:e]``, ``c -= R_j' diff`` in place); index arrays are
-    built only for a partial set of columns.
+    whose group j must be updated, and reads from a list of Python bools
+    whether some column needs group j.  ``moved`` changes only when a group
+    moves, so the mask is recomputed only then, and a group that no column
+    needs costs one list lookup.  A group that some column needs is updated
+    on the whole slices ``c[a:e]`` and ``b[a:e]``: a column that skips it,
+    or has a NaN step, gets a zero move.  The last bits of a column may
+    still depend on R: BLAS rounds ``R_j' diff`` otherwise on fewer than
+    about 8 columns, and ``einsum`` the norms of 3+-column groups when wide.
     """
     _check_gcd(design, pen, "fit_gcd_columns")
     Y = np.asarray(Y, dtype=float)
@@ -370,24 +388,22 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
         for j, (a, e) in enumerate(bounds):
             if stale:  # moved has changed: redo the skip test of every group and column
                 mask = nonzero | ~(c_norms + moved <= lam_j)
-                some, every, stale = mask.any(axis=1).tolist(), mask.all(axis=1).tolist(), False
+                some, stale = mask.any(axis=1).tolist(), False
             if not some[j]:
                 continue  # the skip of fit_gcd leaves group j at zero in every column
-            k = slice(None) if every[j] else np.flatnonzero(mask[j])
-            old = b[a:e, k]
-            new = solve_single_group_columns(c[a:e, k] + old, thresholds[j], pen.gamma,
+            old = b[a:e]
+            new = solve_single_group_columns(c[a:e] + old, thresholds[j], pen.gamma,
                                              pen.family)
             diff = new - old
             step = np.max(np.abs(diff), axis=0)
-            delta[k] = np.fmax(delta[k], step)
-            up = step > 0  # False for a NaN step, as in fit_gcd
-            if not up.all():
-                if not up.any():
-                    continue
-                k, diff, new = np.flatnonzero(mask[j])[up], diff[:, up], new[:, up]
-            c[:, k] -= design.gram_row(j).T @ diff
-            b[a:e, k] = new
-            moved[k] += np.sqrt(np.einsum("ij,ij->j", diff, diff))
+            delta = np.maximum(delta, np.where(mask[j], step, 0.0))  # a NaN step stays NaN
+            up = mask[j] & (step > 0)  # False for a NaN step, as in fit_gcd
+            if not up.any():
+                continue
+            diff = np.where(up, diff, 0.0)  # a column that skips or has a NaN step stays put
+            c -= design.gram_row(j).T @ diff
+            b[a:e] = np.where(up, new, old)
+            moved += np.sqrt(np.einsum("ij,ij->j", diff, diff))
             stale = True
         iterations[run] = it
         finite = np.isfinite(c).all(axis=0)  # a non-finite gradient stops unconverged

@@ -39,6 +39,8 @@ _MC_BLOCK = 500
 # Restarts whose objectives agree to this relative tolerance count as one
 # minimum: the first of them is kept, so rounding does not pick the fit.
 _KEEP_RTOL = 1e-12
+# A fit mismatches its oracle by more than _COEF_TOL; it stops at moves <= _FIT_TOL.
+_COEF_TOL, _FIT_TOL = 1e-6, 1e-10
 
 
 @dataclass(frozen=True)
@@ -362,15 +364,13 @@ def monte_carlo_theorem1(
     seed: int = 0,
     n_starts: int = 1,
     src_bounds: tuple = None,
-    coef_tol: float = 1e-6,
-    fit_tol: float = 1e-10,
 ) -> OracleReport:
     """Monte Carlo check of the exact-oracle probability bound.
 
     Each replicate redraws Gaussian noise around the fixed design, fits the
     2-norm group MCP at (lam, gamma) by group coordinate descent, and
     compares against the oracle least squares fit; a mismatch is a support
-    difference or any coefficient further than ``coef_tol`` away.  Condition
+    difference or any coefficient further than ``_COEF_TOL`` away.  Condition
     failures are flagged in the report rather than raised, so the bound can
     be probed outside its hypotheses.  ``src_bounds = (c_star, c_sup,
     d_star)`` switches on the sparse Riesz variant: eta3 joins the bound and
@@ -380,7 +380,7 @@ def monte_carlo_theorem1(
     The replicates and their restarts are the columns of one
     ``fit_gcd_columns`` descent per block of ``_MC_BLOCK // n_starts``
     replicates (at least one), drawn in the stream order of one fit at a
-    time, so the report does not depend on the block size.
+    time; the block size moves only the fits' last bits (``fit_gcd_columns``).
     ``n_nonconverged`` counts the replicates whose kept fit stopped without
     converging; they are still compared against the oracle.
     ``cycles_median`` and ``cycles_max`` are taken over the kept fits' cycle
@@ -444,7 +444,7 @@ def monte_carlo_theorem1(
         Y = np.ascontiguousarray(np.broadcast_to(noise.T[:, :, None], (n, k, n_starts)))
         Y = Y.reshape(n, k * n_starts)
         del draws, noise  # unused during the descent
-        B, its, conv = fit_gcd_columns(design, pen, Y, inits, tol=fit_tol)
+        B, its, conv = fit_gcd_columns(design, pen, Y, inits, tol=_FIT_TOL)
         Y = Y[:, ::n_starts]  # one column per replicate
         B = B.reshape(p, k, n_starts)
         its, conv = its.reshape(k, n_starts), conv.reshape(k, n_starts)
@@ -460,7 +460,7 @@ def monte_carlo_theorem1(
         fit_support = np.logical_or.reduceat(coef != 0, design.starts)
         ora_support = np.logical_or.reduceat(oracle != 0, design.starts)
         mismatches += int(np.sum(np.any(fit_support != ora_support, axis=0)
-                                 | (np.max(np.abs(coef - oracle), axis=0) > coef_tol)))
+                                 | (np.max(np.abs(coef - oracle), axis=0) > _COEF_TOL)))
 
     phat = mismatches / reps
     margin = 2.326 * math.sqrt(phat * (1 - phat) / reps) + 1.0 / reps

@@ -735,6 +735,25 @@ def test_gcd_nan_move_is_not_applied_and_never_converges(monkeypatch):
     assert np.all(fit.coef == 0.0) and fit.residual_drift == 0.0
 
 
+def test_gcd_columns_nan_move_is_not_applied_and_never_converges(monkeypatch):
+    # the same rule for the batched twin: a NaN step must not be folded
+    # away into a zero largest move, so no column counts as converged
+    from grpsel import gcd
+
+    def nan_row(Z, *args):
+        out = Z.copy()
+        out[-1] = math.nan
+        return out
+
+    design, _ = gaussian_design(50, [2, 3, 2], beta=[1.0, 1.0, 0, 0, 0, 0, 0], seed=1)
+    monkeypatch.setattr(gcd, "solve_single_group_columns", nan_row)
+    Y = np.column_stack([design.y, 2.0 * design.y])
+    B, iterations, converged = gcd.fit_gcd_columns(design, PenaltySpec("gmcp", lam=0.1), Y,
+                                                   max_iter=3)
+    assert not converged.any() and iterations.tolist() == [3, 3]
+    assert np.all(B == 0.0)
+
+
 def test_sgl_nan_move_is_not_applied_and_never_converges(monkeypatch):
     # the same rule for the sparse group LASSO sweep: a NaN from the
     # coordinate threshold must leave b and r as they are, and the fit must

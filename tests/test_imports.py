@@ -71,3 +71,18 @@ def test_fit_lcd_calls_the_threshold_through_module_globals(monkeypatch):
     monkeypatch.setattr(bilevel, "soft_threshold", stub)
     with pytest.raises(Called):
         bilevel.fit_lcd(design, PenaltySpec("cmcp", lam=0.5 * bilevel.cmcp_lambda_max(design)))
+
+
+def test_sgl_calls_the_threshold_through_module_globals(monkeypatch):
+    # the sgl sweep calls grpsel.bilevel.soft_threshold once per coordinate
+    # of every group visit, so the traced bench's wrapper sees those calls
+    class Called(Exception):
+        pass
+
+    def stub(*args):
+        raise Called
+
+    design, _ = gaussian_design(30, [2, 3], sigma=1.0, seed=0, orthonormalize=False)
+    monkeypatch.setattr(bilevel, "soft_threshold", stub)
+    with pytest.raises(Called):
+        bilevel.fit_sparse_group_lasso(design, 0.01, 0.01)
