@@ -15,11 +15,12 @@ survive the mapping back to the caller's coordinates:
   coordinate in order ``z_k = c_k - sum_l G_kl * diff_l + b_k`` over the
   coordinates already moved in the visit (``G = X_j'X_j/n``, cached per
   design), and applies its moves at the end, a bridge freeze included, as
-  one ``c -= diff @ R_j``.  The tangent slopes are computed in Python
-  floats with the formulas and order of operations of ``_mcp``/
-  ``_mcp_prime`` and ``rho_prime``, and ``soft_threshold`` takes its scalar
-  path, so the iterates are those of the per-coordinate loop up to
-  rounding.  ``note()`` (with ``check_descent``) reads ``b`` alone.
+  one ``c -= diff @ R_j``.  The tangent slopes are computed inline in
+  Python floats, in the order of operations of ``_mcp``/``_mcp_prime`` and
+  ``rho_prime``: a group's inner MCPs (bridge: its ``|b_k|``) are summed left
+  to right, and summed again only after a move changes one.  ``soft_threshold``
+  takes its scalar path, so the iterates are those of the per-coordinate
+  loop up to rounding.  ``note()`` (with ``check_descent``) reads ``b`` alone.
 
 * Blockwise proximal descent (``fit_sparse_group_lasso``) for the convex
   additive penalty lam1*||b||_1 + lam2*sum_j ||b_j||_2.  Per group the
@@ -145,13 +146,13 @@ def fit_lcd(
         )
     lam, cmcp = pen.lam, pen.family == "cmcp"
     bounds = [(start, start + size) for start, size in design.groups]
-    grams = design.block_grams
+    grams, rows = design.block_grams, design.gram_rows
     freezing = pen.family == "gbridge" and lam > 0
-    frozen = np.zeros(design.J, dtype=bool)
+    frozen = [False] * design.J
     if pen.family == "gbridge":
         init = least_squares_init(design) if init is None else _start(design, init)
         if freezing:
-            frozen = design.group_sums(np.abs(init)) < BRIDGE_FREEZE_TOL
+            frozen = (design.group_sums(np.abs(init)) < BRIDGE_FREEZE_TOL).tolist()
             init[np.repeat(frozen, design.dims)] = 0.0
     skipping = cmcp and lam > 0
     if skipping:
@@ -164,19 +165,12 @@ def fit_lcd(
         gm1 = pen.gamma - 1
         scales = [pen.gamma * v for v in (design.cj * lam).tolist()]
 
-    def group_factor(j, terms):
-        # cmcp: the outer MCP slope at the summed inner MCPs; gbridge: the 1-norm.
-        # The terms are added left to right, as numpy adds fewer than eight values.
-        total = 0.0
-        for v in terms:
-            total += v
-        return lam * max(1.0 - total / outer_gl[j], 0.0) if cmcp else total
-
     def sweep(b, c, note):
         delta = shift = 0.0  # shift: the sum of |diff| over the cycle's moves
         if skipping:
             cmax = np.maximum.reduceat(np.abs(c), design.starts).tolist()
             nonzero = np.logical_or.reduceat(b != 0, design.starts).tolist()
+        b_in = b.tolist()  # b at the cycle's start; group j's entries change at its visit
         for j, (a, e) in enumerate(bounds):
             if frozen[j]:
                 continue
@@ -185,22 +179,29 @@ def fit_lcd(
                 if note:
                     note()
                 continue
-            old = b[a:e].tolist()
+            old = b_in[a:e]
             bj, c_j = list(old), c[a:e].tolist()
             diffs, moved = [0.0] * (e - a), []  # moves not yet applied to c
-            factor = 0.0
-            if lam:  # terms: the visit's inner MCPs (cmcp) or |b_k| (gbridge)
-                terms = ([lam * t - t * t / two_gi if t <= gil else cap for t in map(abs, bj)]
-                         if cmcp else list(map(abs, bj)))
-                factor = group_factor(j, terms)
+            w, fresh = 0.0, bool(lam)  # fresh: the terms changed since factor was summed
+            if skipping:  # terms: the visit's inner MCPs (cmcp) or |b_k| (gbridge)
+                ogl = outer_gl[j]
+                terms = [lam * t - t * t / two_gi if t <= gil else cap for t in map(abs, bj)]
+            elif freezing:
+                terms, scale = list(map(abs, bj)), scales[j]
             for k, Gk in enumerate(grams[j]):
+                if fresh:  # factor: the terms added left to right, as numpy adds so few
+                    factor, fresh = 0.0, False
+                    for v in terms:
+                        factor += v
+                    if skipping:  # the outer MCP slope at the sum
+                        u = 1.0 - factor / ogl
+                        factor = 0.0 if u < 0.0 else lam * u
                 # the slope of the penalty's tangent line in this coordinate
-                if not lam:
-                    w = 0.0
-                elif cmcp:
-                    w = factor * (lam * max(1.0 - abs(bj[k]) / gil, 0.0))
-                else:
-                    w = scales[j] * factor ** gm1
+                if skipping:
+                    t = abs(bj[k])
+                    w = 0.0 if t >= gil else factor * (lam * (1.0 - t / gil))
+                elif freezing:
+                    w = scale * factor ** gm1
                 # z = c_k + b_k, with c_k moved by the visit's earlier moves
                 s = 0.0
                 for m in moved:
@@ -211,24 +212,32 @@ def fit_lcd(
                     bj[k] = new
                     diffs[k] = diff
                     moved.append(k)
-                    delta = max(delta, abs(diff))
-                    shift += abs(diff)
-                    # the cmcp sweep reads no factor after its last coordinate
-                    if lam and (k < e - a - 1 or freezing):
+                    diff = abs(diff)
+                    delta = diff if diff > delta else delta
+                    shift += diff
+                    if lam:
                         t = abs(new)
-                        terms[k] = (lam * t - t * t / two_gi if t <= gil else cap) if cmcp else t
-                        factor = group_factor(j, terms)
+                        if skipping:
+                            t = lam * t - t * t / two_gi if t <= gil else cap
+                        fresh = t != terms[k]  # an unchanged term leaves the factor as it is
+                        terms[k] = t
                 if note:
                     b[a:e] = bj
                     note()
-                if freezing and factor < BRIDGE_FREEZE_TOL:
-                    # the tangent slope diverges at zero: pin the group there
-                    bj = [0.0] * (e - a)
-                    frozen[j] = True
-                    break
-            if bj != old:  # the visit's moves, a freeze included, reach c in one product
-                c -= np.dot(np.array(bj) - old, design.gram_row(j))
-            b[a:e] = bj
+                if freezing:
+                    if fresh:  # the freeze test reads the new 1-norm
+                        factor, fresh = 0.0, False
+                        for v in terms:
+                            factor += v
+                    if factor < BRIDGE_FREEZE_TOL:
+                        # the tangent slope diverges at zero: pin the group there
+                        bj, diffs = [0.0] * (e - a), [0.0 - v for v in old]
+                        frozen[j] = True
+                        break
+            if any(diffs):  # the visit's moves, a freeze included, reach c in one product
+                c -= np.dot(diffs, design.gram_row(j) if rows[j] is None else rows[j])
+            if moved or frozen[j]:
+                b[a:e] = bj
         return delta
 
     return _descend(design, pen, init, sweep,

@@ -207,7 +207,7 @@ def _load_problem(args):
 
 def _lambda_value(args, design, pen):
     if args.lam == "max":
-        return FAMILIES[pen.family].top(design, pen)
+        return FAMILIES[pen.family].top(design, pen, None)
     try:
         return pen.with_lam(float(args.lam)).lam
     except ValueError as exc:

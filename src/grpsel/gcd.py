@@ -396,7 +396,7 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
                                              pen.family)
             diff = new - old
             step = np.max(np.abs(diff), axis=0)
-            delta = np.maximum(delta, np.where(mask[j], step, 0.0))  # a NaN step stays NaN
+            np.maximum(delta, step, out=delta, where=mask[j])  # a NaN step stays NaN
             up = mask[j] & (step > 0)  # False for a NaN step, as in fit_gcd
             if not up.any():
                 continue

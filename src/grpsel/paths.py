@@ -31,11 +31,11 @@ class Family:
     """How one penalty family is fitted.
 
     ``fit(design, pen, init=..., tol=..., max_iter=...)`` is its solver and
-    ``top(design, pen)`` the smallest penalty level at which that solver
-    returns zero.  ``ascending`` paths start from the least squares fit at
-    the smallest lambda and chain upward.  Both functions look the solver
-    up in its module at call time, so a replaced module attribute (as in
-    the traced benchmark) is the one that runs.
+    ``top(design, pen, start)`` the smallest penalty level at which that solver
+    returns zero from ``start`` (None: its default).  ``ascending`` paths start
+    from the least squares fit at the smallest lambda and chain upward.  Both
+    functions look the solver up in its module at call time, so a replaced
+    module attribute (as in the traced benchmark) is the one that runs.
     """
 
     fit: Callable
@@ -46,7 +46,7 @@ class Family:
 
 _GROUP = Family(
     fit=lambda design, pen, **kw: gcd.fit_gcd(design, pen, **kw),
-    top=lambda design, pen: gcd.lambda_max(design),
+    top=lambda design, pen, start: gcd.lambda_max(design),
     orthonormalized=True,
 )
 
@@ -62,19 +62,19 @@ FAMILIES = {
     # a bridge group at zero cannot re-enter (its tangent slope diverges)
     "gbridge": Family(
         fit=_fit_lcd,
-        top=lambda design, pen: bilevel.bridge_lambda_upper(design, pen),
+        top=lambda design, pen, start: bilevel.bridge_lambda_upper(design, pen, start),
         orthonormalized=False,
         ascending=True,
     ),
     "cmcp": Family(
         fit=_fit_lcd,
-        top=lambda design, pen: bilevel.cmcp_lambda_max(design),
+        top=lambda design, pen, start: bilevel.cmcp_lambda_max(design),
         orthonormalized=False,
     ),
     "sgl": Family(
         fit=lambda design, pen, **kw: bilevel.fit_sparse_group_lasso(
             design, pen.lam, pen.lam2, **kw),
-        top=lambda design, pen: bilevel.sgl_lambda_max(design),
+        top=lambda design, pen, start: bilevel.sgl_lambda_max(design),
         orthonormalized=False,
     ),
 }
@@ -117,7 +117,7 @@ def _chain(family: Family, design, pens, config, start, inits=None) -> list:
 
 
 def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=None):
-    """A path's family, penalty per gamma and descending lambdas; checked, not fitted."""
+    """A path's family, penalty per gamma, descending lambdas and start; checked, not fitted."""
     if config.warm_start not in WARM_STARTS:
         raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
     family = FAMILIES[pen_template.family]
@@ -131,11 +131,13 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
             if g in config.gamma_grid[:i]:
                 raise ConfigError(f"gamma_grid lists {g} more than once")
         pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
+    start = least_squares_init(design) if family.ascending else np.zeros(design.p)
     if lambdas is not None:
-        return family, pens, np.sort(np.asarray(lambdas, dtype=float))[::-1]
+        return family, pens, np.sort(np.asarray(lambdas, dtype=float))[::-1], start
     ratio = config.lambda_min_ratio
     ratio = default_min_ratio(design) if ratio is None else ratio
-    return family, pens, lambda_grid(family.top(design, pens[0]), config.n_lambda, ratio)
+    top = family.top(design, pens[0], start)
+    return family, pens, lambda_grid(top, config.n_lambda, ratio), start
 
 
 def solution_path(
@@ -157,8 +159,7 @@ def solution_path(
     """
     if config is None:
         config = PathConfig()
-    family, pens, lambdas = path_grid(design, pen_template, config, lambdas)
-    start = least_squares_init(design) if family.ascending else np.zeros(design.p)
+    family, pens, lambdas, start = path_grid(design, pen_template, config, lambdas)
     inits = None
     if config.warm_start == "group_lasso_init" and family.orthonormalized:
         glasso = [PenaltySpec("glasso", lam=float(lam)) for lam in lambdas]

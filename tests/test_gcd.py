@@ -523,6 +523,13 @@ _BILEVEL_LEVELS = {
     "cmcp": (0.7, 0.4, 0.25),
     "sgl": (0.5, 0.2, 0.1),
 }
+# The dense end of a cmcp path, where saturated coordinates get tangent weight
+# 0; on the p>n and p=n designs this level runs 10,000 cycles unconverged.
+_DENSE_LEVELS = {("p<n", "cmcp"): (0.02,)}
+
+
+def _levels(case, family):
+    return _BILEVEL_LEVELS[family] + _DENSE_LEVELS.get((case, family), ())
 
 
 def _bilevel_design(case, family):
@@ -555,7 +562,7 @@ def test_bilevel_fits_match_separate_loop_reference(case, family, monkeypatch):
     # weights of about this size
     scale = float(np.max(np.abs(design.X.T @ design.y))) / design.n
     previous = None
-    for ratio in _BILEVEL_LEVELS[family]:
+    for ratio in _levels(case, family):
         lam = ratio * top
         starts = [None] if previous is None else [None, previous]
         for init in starts:
@@ -579,6 +586,13 @@ def test_bilevel_fits_match_separate_loop_reference(case, family, monkeypatch):
                                ref.objective), where
         previous = ref.coef
     assert np.any(previous), "the smallest level should give a nonzero fit"
+    if (case, family) in _DENSE_LEVELS:
+        from oracles import _lcd_weight_reference
+
+        # at the dense level most coordinates are saturated: tangent weight exactly 0
+        weights = [_lcd_weight_reference(pen, design.cj[j], previous[design.group_slice(j)], k)
+                   for j in range(design.J) for k in range(design.dims[j])]
+        assert weights.count(0.0) > len(weights) // 2
 
 
 def test_extrapolation_solves_linear_iterations_and_skips_failed_systems():
@@ -617,7 +631,7 @@ def test_accelerated_bilevel_fits_match_separate_loop_reference(case, family, mo
     calls = record_extrapolations(monkeypatch)
     accepted = 0
     previous = None
-    for ratio in _BILEVEL_LEVELS[family]:
+    for ratio in _levels(case, family):
         lam = ratio * top
         pen = PenaltySpec(family, lam=lam, lam2=lam if family == "sgl" else 0.0)
         for init in [None] if previous is None else [None, previous]:
@@ -779,7 +793,7 @@ def test_lcd_without_descent_check_matches_separate_loop_reference(case, family,
     monkeypatch.setattr(gcd, "ANDERSON_K", 0)  # step for step: no extrapolation
     design, top = _bilevel_design(case, family)
     previous = None
-    for ratio in _BILEVEL_LEVELS[family]:
+    for ratio in _levels(case, family):
         pen = PenaltySpec(family, lam=ratio * top)
         for init in [None] if previous is None else [None, previous]:
             ref = fit_lcd_reference(design, pen, init=init)
