@@ -34,6 +34,7 @@ from .penalties import (
     soft_threshold,
     soft_threshold_vec,
     solve_single_group,
+    stationarity,
 )
 from .scenarios import ScenarioSpec, SimulatedData, make_scenario
 from .theory import (

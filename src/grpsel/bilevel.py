@@ -64,24 +64,24 @@ import numpy as np
 
 from .errors import UnsupportedFamily
 from .gcd import FitResult, SolutionPath, _descend, _group_sweep, _start
-# ``objective`` and ``soft_threshold_vec`` are not called here; the traced
+# ``objective``, ``soft_threshold_vec`` and ``lcd_stationarity`` (the LCD
+# fixed-point residual under its older name) are not called here; the traced
 # benchmark looks them up in this module by name.
 from .penalties import (  # noqa: F401
+    BRIDGE_FREEZE_TOL,
     PenaltySpec,
     _mcp,
     _mcp_prime,
     _shrunk,
     objective,
-    rho_prime,
     soft_threshold,
     soft_threshold_vec,
+    stationarity,
 )
+from .penalties import stationarity as lcd_stationarity  # noqa: F401
 
 LCD_FAMILIES = ("gbridge", "cmcp")
 
-# Below this group 1-norm the bridge tangent slope is effectively unbounded
-# and the group is frozen at zero for the remainder of the fit.
-BRIDGE_FREEZE_TOL = 1e-10
 SKIP_SLACK = 2.0 ** -30  # the zero-group skips' rounding margin (module docstring)
 
 
@@ -135,7 +135,7 @@ def fit_lcd(
     slope is unbounded at an all-zero group, so zero is a fixed point).
     A bridge group whose 1-norm is below ``BRIDGE_FREEZE_TOL`` at the start
     or after any of its coordinate updates is pinned at exactly zero for
-    the rest of the fit.
+    the rest of the fit, where ``stationarity`` counts it as stationary.
     """
     if pen.family not in LCD_FAMILIES:
         raise UnsupportedFamily(f"fit_lcd does not handle {pen.family!r}")
@@ -240,45 +240,7 @@ def fit_lcd(
                 b[a:e] = bj
         return delta
 
-    return _descend(design, pen, init, sweep,
-                    lambda b, g: _lcd_stationarity(design, pen, b, g, frozen),
-                    tol, max_iter, check_descent, accelerate=True)
-
-
-def lcd_stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None) -> float:
-    """Fixed-point residual of the LCD map at ``coef``.
-
-    Coordinates must satisfy the one-dimensional LASSO optimality condition
-    under the tangent-line weight evaluated at ``coef``.  Groups frozen at
-    zero by the bridge rule are stationary by convention (the tangent slope
-    diverges there).
-    """
-    if pen.family not in LCD_FAMILIES:
-        raise UnsupportedFamily(f"no LCD weight for family {pen.family!r}")
-    coef = np.asarray(coef, dtype=float).ravel()
-    g = design.X.T @ (design.y - design.X @ coef) / design.n
-    return _lcd_stationarity(design, pen, coef, g, frozen)
-
-
-def _lcd_stationarity(design, pen, coef, g, frozen) -> float:
-    # ``lcd_stationarity`` of a flat float ``coef`` whose loss gradient ``X'r/n`` is ``g``
-    dims, lam = design.dims, pen.lam
-    skip = np.zeros(design.J, dtype=bool) if frozen is None else np.array(frozen, dtype=bool)
-    abs_b = np.abs(coef)
-    if lam == 0:
-        w = np.zeros_like(coef)
-    elif pen.family == "cmcp":
-        gi = pen.gamma_inner
-        outer = _mcp_prime(design.group_sums(_mcp(abs_b, lam, gi)), lam, dims * gi * lam / 2)
-        w = np.repeat(outer, dims) * _mcp_prime(abs_b, lam, gi)
-    else:
-        l1 = design.group_sums(abs_b)
-        skip |= l1 < BRIDGE_FREEZE_TOL
-        w = np.repeat(rho_prime(np.where(skip, 1.0, l1), design.cj * lam, pen.gamma,
-                                "bridge"), dims)
-    v = np.where(coef == 0.0, np.maximum(np.abs(g) - w, 0.0), np.abs(g - w * np.sign(coef)))
-    v[np.repeat(skip, dims)] = 0.0
-    return float(np.max(v, initial=0.0))
+    return _descend(design, pen, init, sweep, tol, max_iter, check_descent, accelerate=True)
 
 
 def fit_sparse_group_lasso(
@@ -317,34 +279,12 @@ def fit_sparse_group_lasso(
         lambda c: (design.group_l2(np.maximum(np.abs(c) - lam1, 0.0))
                    + slack * (lam1 + lam2)).tolist(),
         [lam2] * design.J, (np.sqrt(lips) + slack).tolist(), np.sqrt(lips).tolist(), visit)
-    return _descend(design, pen, init, sweep, lambda b, g: _sgl_kkt(design, b, g, lam1, lam2),
-                    tol, max_iter, check_descent, accelerate=True)
+    return _descend(design, pen, init, sweep, tol, max_iter, check_descent, accelerate=True)
 
 
 def sgl_kkt(design, coef: np.ndarray, lam1: float, lam2: float) -> float:
-    """Largest subgradient violation of the sparse group LASSO conditions.
-
-    A zero group needs ||soft(g_j, lam1)||_2 <= lam2 for the gradient g_j of
-    the loss; inside an active group, zero coordinates need |g_k| <= lam1
-    and nonzero ones must balance g_k against lam1*sign(b_k) plus the group
-    norm gradient.
-    """
-    coef = np.asarray(coef, dtype=float).ravel()
-    return _sgl_kkt(design, coef, design.X.T @ (design.y - design.X @ coef) / design.n,
-                    lam1, lam2)
-
-
-def _sgl_kkt(design, coef, g, lam1, lam2) -> float:
-    # ``sgl_kkt`` of a flat float ``coef`` whose loss gradient ``X'r/n`` is ``g``
-    dims = design.dims
-    nb = design.group_l2(coef)
-    zero = nb == 0.0
-    zero_groups = np.maximum(design.group_l2(soft_threshold(g, lam1)) - lam2, 0.0)
-    nb_rep = np.repeat(np.where(zero, 1.0, nb), dims)
-    coords = np.where(coef == 0.0, np.maximum(np.abs(g) - lam1, 0.0),
-                      np.abs(g - lam1 * np.sign(coef) - lam2 * coef / nb_rep))
-    coords[np.repeat(zero, dims)] = 0.0
-    return float(max(np.max(zero_groups[zero], initial=0.0), np.max(coords, initial=0.0)))
+    """``stationarity`` of the sparse group LASSO at levels ``lam1`` and ``lam2``."""
+    return stationarity(design, PenaltySpec("sgl", lam=lam1, lam2=lam2), coef)
 
 
 def sgl_lambda_max(design) -> float:

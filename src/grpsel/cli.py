@@ -25,7 +25,8 @@ import numpy as np
 
 from .cv import kfold_cv
 from .design import build_design, group_norms
-from .errors import ConfigError, GammaOutOfRange, GrpselError, NonFiniteInput, ParseError
+from .errors import (ConfigError, FoldTooSmall, GammaOutOfRange, GrpselError, NonFiniteInput,
+                     ParseError)
 from .paths import FAMILIES, GAMMALESS, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
@@ -183,6 +184,10 @@ def _parse_gammas(text):
 def _load_problem(args):
     """The command's gamma list, penalty template, column names and design,
     and the name of its grid's second column (``lambda2`` for sgl)."""
+    if not 0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and nonnegative, not {args.tol!r}")
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be at least 1, not {args.max_iter}")
     gammas = _parse_gammas(args.gamma)
     if gammas and args.penalty in GAMMALESS:
         raise ConfigError(f"--penalty {args.penalty} has no gamma; drop --gamma")
@@ -286,6 +291,8 @@ def _path_config(args, gammas=None) -> PathConfig:
         raise ConfigError("--nlambda must be at least 2")
     if args.lambda_min_ratio is not None and not 0 < args.lambda_min_ratio < 1:
         raise ConfigError("--lambda-min-ratio must lie in (0, 1)")
+    if not 0 <= args.lambda2_ratio < math.inf:
+        raise ConfigError("--lambda2-ratio must be finite and nonnegative")
     return PathConfig(
         n_lambda=args.nlambda,
         lambda_min_ratio=args.lambda_min_ratio,
@@ -453,7 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, NonFiniteInput) as exc:
+    except (ParseError, ConfigError, NonFiniteInput, FoldTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GrpselError, OSError, ValueError) as exc:

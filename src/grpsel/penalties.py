@@ -1,4 +1,4 @@
-"""Penalty functions, derivatives, and exact single-group solutions.
+"""Penalties: values, derivatives, single-group solutions, objective and stationarity.
 
 Scalar penalty families (``rho``, ``rho_prime``), as functions of t >= 0:
 
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DomainError, GammaOutOfRange, UnsupportedFamily
 
 FAMILIES = ("glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl")
+TWO_NORM_FAMILIES = ("glasso", "gmcp", "gscad")  # penalties of each group's 2-norm
 
 _DEFAULT_GAMMA = {
     "glasso": math.inf,
@@ -41,6 +42,10 @@ _DEFAULT_GAMMA = {
     "sgl": math.inf,
     "cmcp": math.inf,
 }
+
+# Below this group 1-norm the bridge tangent slope is effectively unbounded
+# and ``bilevel.fit_lcd`` freezes the group at zero for the rest of the fit.
+BRIDGE_FREEZE_TOL = 1e-10
 
 # Ties at machine precision collapse to zero: a shrink factor this close to
 # the boundary cannot be distinguished from an exact tie after one division.
@@ -166,17 +171,17 @@ def rho(t, lam, gamma=None, family="l1"):
     t = np.atleast_1d(t)
     if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
         out = lam * t
-    elif family == "mcp":
-        out = np.where(
-            t <= gamma * lam, lam * t - t**2 / (2 * gamma), gamma * lam**2 / 2
-        )
-    elif family == "scad":
-        inner = np.where(
-            t <= lam,
-            lam * t,
-            (2 * gamma * lam * t - t**2 - lam**2) / (2 * (gamma - 1)),
-        )
-        out = np.where(t <= gamma * lam, inner, lam**2 * (gamma + 1) / 2)
+    elif family in ("mcp", "scad"):
+        # a huge lam overflows gamma * lam and the saturated value to inf, their
+        # limits; np.where drops the branch that is not taken (scad: NaN at t = 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if family == "mcp":
+                out = np.where(t <= gamma * lam, lam * t - t**2 / (2 * gamma),
+                               gamma * lam**2 / 2)
+            else:
+                inner = np.where(t <= lam, lam * t,
+                                 (2 * gamma * lam * t - t**2 - lam**2) / (2 * (gamma - 1)))
+                out = np.where(t <= gamma * lam, inner, lam**2 * (gamma + 1) / 2)
     elif family == "bridge":
         out = lam * t**gamma
     else:
@@ -197,7 +202,8 @@ def rho_prime(t, lam, gamma=None, family="l1"):
     if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
         out = np.full_like(t, lam)
     elif family in ("mcp", "scad"):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a huge lam overflows gamma * lam to inf: the slope is then lam
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if family == "mcp":
                 out = lam * np.maximum(1.0 - t / (gamma * lam), 0.0)
             else:
@@ -316,19 +322,17 @@ _GROUP_RHO = {
 }
 
 
-def objective(design, coef: np.ndarray, pen: PenaltySpec) -> float:
+def objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray = None) -> float:
     """Penalized least squares objective in the design's internal coordinates.
 
     ``coef`` must live in the coordinate system of ``design.X`` (i.e. the
     orthonormalized or standardized blocks).  The loss term is
-    ``||y - X @ coef||**2 / (2n)``; the penalty term depends on the family.
+    ``||y - X @ coef||**2 / (2n)``, from the residual ``r`` when given; the
+    penalty term depends on the family.
     """
     coef = np.asarray(coef, dtype=float).ravel()
-    return _objective(design, coef, pen, design.y - design.X @ coef)
-
-
-def _objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray) -> float:
-    # ``objective`` of a flat float ``coef`` whose residual ``y - X @ coef`` is ``r``
+    if r is None:
+        r = design.y - design.X @ coef
     lam = pen.lam
     fam = pen.family
     if fam in _GROUP_RHO:
@@ -349,3 +353,55 @@ def _objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray) -> flo
     else:
         raise UnsupportedFamily(f"unknown penalty family {fam!r}")
     return 0.5 * float(r @ r) / design.n + float(np.sum(penalty))
+
+
+def stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None,
+                 g: np.ndarray = None) -> float:
+    """Largest violation of the family's optimality conditions at ``coef``.
+
+    ``g`` is the loss gradient ``X'(y - X @ coef)/n`` (computed when None).
+    2-norm families: group KKT.  cmcp, gbridge: the LCD fixed point, with
+    ``frozen`` groups and bridge groups below ``BRIDGE_FREEZE_TOL`` taken as
+    stationary.  sgl: ``||soft(g_j, lam)|| <= lam2`` at a zero group, and at
+    the other groups' coordinates the residual ``|g_k - w_k sign(b_k) -
+    shift_k|`` (``(|g_k| - w_k)_+`` at ``b_k = 0``) that LCD takes with its
+    tangent weights ``w_k`` and ``shift = 0``.  A NaN residual gives NaN.
+    """
+    coef = np.asarray(coef, dtype=float).ravel()
+    if g is None:
+        g = design.X.T @ (design.y - design.X @ coef) / design.n
+    fam, lam, dims = pen.family, pen.lam, design.dims
+    if fam in TWO_NORM_FAMILIES:
+        nb = design.group_l2(coef)
+        lam_j = design.cj * lam
+        slope = rho_prime(nb, lam_j, pen.gamma, _GROUP_RHO[fam][0])
+        nonzero = nb > 0
+        # a zero group keeps g_j itself (its coefficients are zero)
+        v = design.group_l2(
+            g - np.repeat(slope, dims) * coef / np.repeat(np.where(nonzero, nb, 1.0), dims)
+        )
+        return float(np.max(np.where(nonzero, v, np.maximum(v - lam_j, 0.0))))
+    skip = np.zeros(design.J, dtype=bool) if frozen is None else np.array(frozen, dtype=bool)
+    levels, shift = [], 0.0  # levels: the group-level residuals of sgl's zero groups
+    if fam == "sgl":
+        nb = design.group_l2(coef)
+        skip = nb == 0.0  # a zero group is checked at the group level only
+        w, shift = lam, pen.lam2 * coef / np.repeat(np.where(skip, 1.0, nb), dims)
+        levels = np.maximum(design.group_l2(soft_threshold(g, lam)) - pen.lam2, 0.0)[skip]
+    elif fam not in ("cmcp", "gbridge"):
+        raise UnsupportedFamily(f"unknown penalty family {fam!r}")
+    elif lam == 0:
+        w = np.zeros_like(coef)
+    elif fam == "cmcp":
+        gi, abs_b = pen.gamma_inner, np.abs(coef)
+        outer = _mcp_prime(design.group_sums(_mcp(abs_b, lam, gi)), lam, dims * gi * lam / 2)
+        w = np.repeat(outer, dims) * _mcp_prime(abs_b, lam, gi)
+    else:
+        l1 = design.group_sums(np.abs(coef))
+        skip |= l1 < BRIDGE_FREEZE_TOL
+        w = np.repeat(rho_prime(np.where(skip, 1.0, l1), design.cj * lam, pen.gamma,
+                                "bridge"), dims)
+    v = np.where(coef == 0.0, np.maximum(np.abs(g) - w, 0.0),
+                 np.abs(g - w * np.sign(coef) - shift))
+    v[np.repeat(skip, dims)] = 0.0
+    return float(np.max(np.concatenate([levels, v]), initial=0.0))

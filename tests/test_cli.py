@@ -337,12 +337,41 @@ def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
     ("path", ["--lambda-min-ratio", "0"]),
     ("path", ["--lambda-min-ratio", "1.5"]),
     ("cv", ["--folds", "1"]),
-], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1"])
+    ("cv", ["--folds", "121"]),  # the data have 120 rows
+    ("path", ["--penalty", "gmcp", "--tol", "-1"]),
+    ("path", ["--penalty", "gmcp", "--tol", "nan"]),
+    ("path", ["--penalty", "gmcp", "--tol", "inf"]),
+    ("path", ["--penalty", "gmcp", "--max-iter", "0"]),
+    ("cv", ["--max-iter", "-5"]),
+    ("fit", ["--lambda", "0.1", "--max-iter", "-5"]),
+    ("path", ["--penalty", "sgl", "--lambda2-ratio", "-1"]),
+    ("path", ["--penalty", "sgl", "--lambda2-ratio", "nan"]),
+], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1", "folds_above_rows",
+        "tol_negative", "tol_nan", "tol_inf", "max_iter_0", "cv_max_iter_negative",
+        "fit_max_iter_negative", "lambda2_ratio_negative", "lambda2_ratio_nan"])
 def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, command, flags):
+    # a later --penalty replaces the first one
     code = main([command, *data_args(fig3_files), "--penalty", "glasso", *flags,
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("penalty", ["glasso", "gmcp", "gscad", "gbridge", "sgl"])
+def test_fit_at_huge_lambda_warns_nothing(tmp_path, capsys, penalty):
+    # gamma * lam and the saturated penalty overflow to inf, which are their limits
+    prefix = str(tmp_path / "d")
+    assert main(["simulate", "--scenario", "figure1", "--n", "40", "--seed", "1",
+                 "--out", prefix]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", *data_args(prefix), "--penalty", penalty, "--lambda", "1e308",
+                     "--out", str(tmp_path / "f")])
+    assert code == 0
+    report = json.load(open(tmp_path / "f_fit.json"))
+    assert report["n_nonzero"] == 0 and report["converged"]
+    assert report["kkt_max_violation"] == 0.0
 
 
 def test_path_reports_nonconverged_fits_on_stderr(tmp_path, fig3_files, capsys):

@@ -5,21 +5,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grpsel.bilevel import lcd_stationarity, sgl_kkt
 from grpsel.errors import DomainError, GammaOutOfRange, UnsupportedFamily
+from grpsel.gcd import kkt_check
+from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import (
     _TIE_EPS,
+    FAMILIES,
+    TWO_NORM_FAMILIES,
     PenaltySpec,
     rho,
     rho_prime,
     soft_threshold,
     soft_threshold_vec,
     solve_single_group,
+    stationarity,
 )
 
+from conftest import gaussian_design
 from oracles import (
     hard_threshold,
     hard_threshold_star,
+    kkt_reference,
+    lcd_stationarity_reference,
     rho_quadrature,
+    sgl_kkt_reference,
     single_group_oracle,
     solve_single_group_reference,
 )
@@ -398,13 +408,86 @@ def test_objective_rejects_unknown_family():
     from types import SimpleNamespace
 
     from grpsel.penalties import objective
-    from conftest import gaussian_design
 
     design, _ = gaussian_design(20, [2], sigma=1.0, seed=0)
     fake = SimpleNamespace(family="mystery", lam=0.1, gamma=2.0, lam2=0.0,
                            gamma_inner=None)
     with pytest.raises(UnsupportedFamily):
         objective(design, np.zeros(2), fake)
+
+
+def test_stationarity_rejects_unknown_family():
+    from types import SimpleNamespace
+
+    design, _ = gaussian_design(20, [2], sigma=1.0, seed=0)
+    fake = SimpleNamespace(family="mystery", lam=0.1, gamma=2.0, lam2=0.0,
+                           gamma_inner=None)
+    with pytest.raises(UnsupportedFamily):
+        stationarity(design, fake, np.zeros(2))
+
+
+def _stationarity_oracle(design, pen, coef, frozen):
+    if pen.family in TWO_NORM_FAMILIES:
+        return kkt_reference(design, pen, coef)
+    if pen.family == "sgl":
+        return sgl_kkt_reference(design, coef, pen.lam, pen.lam2)
+    return lcd_stationarity_reference(design, pen, coef, frozen)
+
+
+def _older_name(design, pen, coef, frozen):
+    # the per-family names that the traced benchmark and its checker call
+    if pen.family in TWO_NORM_FAMILIES:
+        return kkt_check(design, pen, coef)
+    if pen.family == "sgl":
+        return sgl_kkt(design, coef, pen.lam, pen.lam2)
+    return lcd_stationarity(design, pen, coef, frozen)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stationarity_is_the_fit_residual_and_matches_the_oracles(family):
+    sizes = [2, 3, 1, 4, 2]
+    beta = np.array([1.5, -1.0, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4, 0.0])
+    design, _ = gaussian_design(50, sizes, beta=beta, sigma=0.5, correlation=0.3, seed=7,
+                                orthonormalize=family in TWO_NORM_FAMILIES)
+    template = PenaltySpec(family, lam=0.0)
+    path = solution_path(design, template, PathConfig(n_lambda=6, lambda_min_ratio=0.05))
+    rng = np.random.default_rng(11)
+    some_frozen = False
+    for (lam, second), fit in zip(path.grid, path.fits):
+        pen = template.with_lam(lam, second if family == "sgl" else None)
+        # a frozen bridge group is pinned at exactly zero; the fit does not
+        # pass the list, and stationarity skips a bridge group that small anyway
+        zero = design.group_l2(fit.coef) == 0.0
+        frozen = zero.tolist() if family == "gbridge" and lam > 0 else None
+        some_frozen |= frozen is not None and any(frozen) and not all(frozen)
+        assert stationarity(design, pen, fit.coef, frozen) == fit.kkt_max_violation
+        assert stationarity(design, pen, fit.coef) == fit.kkt_max_violation
+        for _ in range(4):
+            # random coefficients with zero entries, zero groups and frozen
+            # groups at nonzero values (which the LCD check must skip)
+            coef = rng.normal(size=design.p) * (rng.random(design.p) < 0.6)
+            coef[design.group_slice(int(rng.integers(design.J)))] = 0.0
+            frozen = (rng.random(design.J) < 0.3).tolist()
+            got = stationarity(design, pen, coef, frozen)
+            ref = _stationarity_oracle(design, pen, coef, frozen)
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+            assert _older_name(design, pen, coef, frozen) == got
+    assert some_frozen or family != "gbridge"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stationarity_of_non_finite_coefficients_is_nan(family, bad):
+    # a NaN residual must not read as stationary: a Python max(0.0, nan)
+    # over the group and coordinate parts once returned 0.0 for sgl
+    design, _ = gaussian_design(30, [2, 2], sigma=1.0, seed=0,
+                                orthonormalize=family in TWO_NORM_FAMILIES)
+    pen = PenaltySpec(family, lam=0.1, lam2=0.1 if family == "sgl" else 0.0)
+    for k in (0, 3):
+        coef = np.ones(4)
+        coef[k] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in X @ coef
+            assert math.isnan(stationarity(design, pen, coef))
 
 
 @settings(max_examples=60, deadline=None)
