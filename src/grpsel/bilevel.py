@@ -73,6 +73,8 @@ from .penalties import (  # noqa: F401
     _mcp,
     _mcp_prime,
     _shrunk,
+    _squared,
+    group_levels,
     objective,
     soft_threshold,
     soft_threshold_vec,
@@ -157,13 +159,13 @@ def fit_lcd(
     skipping = cmcp and lam > 0
     if skipping:
         gi = pen.gamma_inner
-        gil, two_gi, cap = gi * lam, 2 * gi, gi * lam**2 / 2
+        gil, two_gi, cap = gi * lam, 2 * gi, gi * _squared(lam) / 2
         room = lam * lam - SKIP_SLACK * (lam * lam)  # the skip test's bound (module docstring)
         # gamma*lam of each group's outer MCP, whose gamma is d_j*gamma_inner*lam/2
         outer_gl = [size * gi * lam / 2 * lam for _, size in design.groups]
     elif freezing:
         gm1 = pen.gamma - 1
-        scales = [pen.gamma * v for v in (design.cj * lam).tolist()]
+        scales = [pen.gamma * v for v in group_levels(design, lam).tolist()]
 
     def sweep(b, c, note):
         delta = shift = 0.0  # shift: the sum of |diff| over the cycle's moves

@@ -17,7 +17,7 @@ import numpy as np
 
 from .design import GroupedDesign, predict, rebuild_design
 from .errors import FoldTooSmall, GrpselError
-from .paths import PathConfig, path_grid, solution_path
+from .paths import PathConfig, fit_grid, path_grid, solution_path
 from .penalties import PenaltySpec
 
 # joint (lambda, gamma) selection grids for the concave 2-norm families;
@@ -128,14 +128,15 @@ def kfold_cv(
         config = PathConfig()
     if config.gamma_grid is None and pen_template.family in DEFAULT_GAMMA_GRID:
         config = replace(config, gamma_grid=DEFAULT_GAMMA_GRID[pen_template.family])
-    lambdas = path_grid(design, pen_template, config)[2]
+    grid = path_grid(design, pen_template, config)
+    lambdas = grid[2]
     folds = fold_assignments(design.n, K, seed)
     if design.n - max(map(len, folds)) < 2:
         raise FoldTooSmall("training folds need at least two rows")
 
     def job(j):  # job 0 is the full-data path, job j > 0 scores fold j (counted from 1)
-        if j == 0:
-            return solution_path(design, pen_template, config)
+        if j == 0:  # the full-data path fits the grid laid out above
+            return fit_grid(design, config, *grid)
         fold_design = rebuild_design(design, np.setdiff1d(np.arange(design.n), folds[j - 1]))
         fold_path = solution_path(design=fold_design, pen_template=pen_template,
                                   config=config, lambdas=lambdas)

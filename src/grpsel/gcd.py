@@ -5,10 +5,12 @@ one-group (or one-coordinate) surrogate and keeps one running vector, the
 loss gradient ``c = X'(y - Xb)/n``.  That loop is written once, in
 ``_descend``: starting values, the running gradient and its periodic
 refresh, the convergence and non-finite tests, the per-update descent
-check and the ``FitResult``, whose objective and stationarity residual
-come from ``penalties.objective`` and ``penalties.stationarity`` for every
-family.  Each family supplies only one sweep: ``fit_gcd`` here, ``fit_lcd``
-and ``fit_sparse_group_lasso`` in ``bilevel``.
+check and the ``FitResult``.  A fit's objective, stationarity residual and
+gradient drift come from ``penalties.objective`` and
+``penalties.stationarity`` for every family, computed together on the
+first read of any of them: paths and cross-validation never read them, so
+they cost nothing there.  Each family supplies only one sweep: ``fit_gcd``
+here, ``fit_lcd`` and ``fit_sparse_group_lasso`` in ``bilevel``.
 
 One group coordinate descent step exactly minimizes the penalized criterion
 over a single group, holding the others fixed: with orthonormalized blocks
@@ -69,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
-from .penalties import (TWO_NORM_FAMILIES, PenaltySpec, objective, solve_single_group,
-                        solve_single_group_columns, stationarity)
+from .penalties import (TWO_NORM_FAMILIES, PenaltySpec, group_levels, objective,
+                        solve_single_group, solve_single_group_columns, stationarity)
 # the group KKT check's older name, which the traced benchmark wraps
 from .penalties import stationarity as kkt_check  # noqa: F401
 
@@ -78,27 +80,60 @@ from .penalties import stationarity as kkt_check  # noqa: F401
 ANDERSON_K = 5
 
 
-@dataclass
 class FitResult:
     """A converged (or best-effort) fit at one penalty setting.
 
     ``beta`` is reported in the caller's coordinates and column order;
     ``coef`` is the same solution in the design's internal (transformed)
-    coordinates, which is what warm starts and the objective use.  The
+    coordinates, which is what warm starts and the objective use.  ``coef``
+    is a read-only view, so the values below cannot drift from it.  The
     penalty point is the solver's ``PenaltySpec`` or ``SolutionPath.grid``.
     ``residual_drift`` is the largest entry of the difference between the
     solver's running gradient at the end and the loss gradient ``X'r/n``
     recomputed from ``coef``.
+
+    ``objective``, ``kkt_max_violation`` and ``residual_drift`` are given,
+    or, for a fit from ``_descend``, computed on the first read of any of
+    the three, all at once from one residual ``r = y - X coef`` and one
+    gradient ``g = X'r/n``.  Until then the fit keeps its design, penalty
+    and final running gradient; pickling computes the values and drops them.
     """
 
-    beta: np.ndarray
-    coef: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-    kkt_max_violation: float
-    max_descent_violation: float = None
-    residual_drift: float = 0.0
+    def __init__(self, beta, coef, objective, iterations, converged, kkt_max_violation,
+                 max_descent_violation=None, residual_drift=0.0):
+        self.beta = beta
+        self.coef = np.asarray(coef).view()
+        self.coef.flags.writeable = False
+        self.iterations = iterations
+        self.converged = converged
+        self.max_descent_violation = max_descent_violation
+        self._values = (objective, kkt_max_violation, residual_drift)
+        self._pending = None  # (design, pen, c) while the values are not computed
+
+    def _scores(self) -> tuple:
+        if self._pending is not None:
+            design, pen, c = self._pending
+            b, X = self.coef, design.X
+            # one residual and one gradient for the drift, the objective and the stationarity
+            r = design.y - X @ b
+            g = X.T @ r / design.n
+            drift = float(np.max(np.abs(c - g))) if design.p else 0.0
+            self._values = (objective(design, b, pen, r), stationarity(design, pen, b, g=g),
+                            drift)
+            self._pending = None
+        return self._values
+
+    objective = property(lambda self: self._scores()[0])
+    kkt_max_violation = property(lambda self: self._scores()[1])
+    residual_drift = property(lambda self: self._scores()[2])
+
+    def __getstate__(self):
+        self._scores()
+        return self.__dict__
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.coef.flags.writeable = False
 
     @property
     def n_nonzero(self) -> int:
@@ -194,8 +229,10 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
     With ``accelerate``, every ``ANDERSON_K + 1`` unconverged cycles end in
     an Anderson attempt (module docstring).  An accepted point refreshes
     ``c`` and is ``note()``d; a singular or non-finite system skips it.
+    The loop's end is the fit's: the ``FitResult`` keeps ``c`` and computes
+    its objective, stationarity and drift only when one is first read.
     """
-    n, p, X, y = design.n, design.p, design.X, design.y
+    n, X, y = design.n, design.X, design.y
     b = _start(design, init)
 
     def fresh(b):
@@ -239,21 +276,18 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
         if it % 100 == 0:
             c = fresh(b)  # guard against floating-point drift in the running gradient
 
-    # one residual and one gradient for the drift, the objective and the stationarity
-    r = y - X @ b
-    g = X.T @ r / n
-    drift = float(np.max(np.abs(c - g))) if p else 0.0
-    return FitResult(
+    fit = FitResult(
         beta=design.back_transform(b),
         coef=b,
-        objective=objective(design, b, pen, r),
+        objective=None,
         iterations=iterations,
         converged=converged,
-        kkt_max_violation=stationarity(design, pen, b, g=g),
+        kkt_max_violation=None,
         # no update noted (every group frozen) means no increase either
         max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
-        residual_drift=drift,
     )
+    fit._pending = (design, pen, c)  # objective, stationarity and drift: on first read
+    return fit
 
 
 def fit_gcd(
@@ -280,7 +314,7 @@ def fit_gcd(
     """
     _check_gcd(design, pen, "fit_gcd")
     gamma, family = pen.gamma, pen.family
-    thresholds, ones = (design.cj * pen.lam).tolist(), [1.0] * design.J
+    thresholds, ones = group_levels(design, pen.lam).tolist(), [1.0] * design.J
 
     def visit(j, c_j, b_j):
         z = [ck + bk for ck, bk in zip(c_j, b_j)]
@@ -371,7 +405,7 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
         raise ValueError("init has the wrong shape")
     if not np.isfinite(B).all():
         raise NonFiniteInput("init contains NaN or infinite entries")
-    thresholds = (design.cj * pen.lam).tolist()
+    thresholds = group_levels(design, pen.lam).tolist()
     lam_j = np.array(thresholds)[:, None]
     bounds = [(a, a + d) for a, d in design.groups]
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)

@@ -3,11 +3,13 @@
 ``FAMILIES`` records, per family, the solver that fits it, the penalty
 level at which that fit is identically zero (the top of the grid), whether
 the design must be orthonormalized and which way the path runs;
-``solution_path`` walks the grid for any family from that table.
+``solution_path`` walks the grid for any family from that table: ``path_grid``
+checks the settings and lays out the grid, ``fit_grid`` fits it.
 ``fit_path`` (2-norm families), ``fit_path_lcd`` and ``fit_path_sgl`` are
 the same driver with the settings passed one by one.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,8 +21,8 @@ from .errors import ConfigError
 from .gcd import SolutionPath, default_min_ratio, fit_path, lambda_grid
 from .penalties import PenaltySpec
 
-__all__ = ["FAMILIES", "Family", "PathConfig", "fit_path", "fit_path_lcd",
-           "fit_path_sgl", "solution_path"]
+__all__ = ["FAMILIES", "Family", "PathConfig", "fit_grid", "fit_path", "fit_path_lcd",
+           "fit_path_sgl", "path_grid", "solution_path"]
 
 WARM_STARTS = ("previous_lambda", "group_lasso_init")
 GAMMALESS = ("glasso", "sgl")  # families without a gamma to vary
@@ -88,6 +90,8 @@ class PathConfig:
     refuse one; ``None`` means the single value carried by the penalty
     spec.  For the sgl family the group-level parameter follows the grid as
     ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
+    A negative or non-finite ``tol``, or a ``max_iter`` below 1, raises
+    ``ConfigError``.
     """
 
     n_lambda: int = 100
@@ -98,6 +102,12 @@ class PathConfig:
     max_iter: int = 10_000
     sgl_lambda2_ratio: float = 1.0
     sgl_lambda2: float = None
+
+    def __post_init__(self):
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and nonnegative, not {self.tol!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, not {self.max_iter}")
 
 
 def _chain(family: Family, design, pens, config, start, inits=None) -> list:
@@ -159,7 +169,11 @@ def solution_path(
     """
     if config is None:
         config = PathConfig()
-    family, pens, lambdas, start = path_grid(design, pen_template, config, lambdas)
+    return fit_grid(design, config, *path_grid(design, pen_template, config, lambdas))
+
+
+def fit_grid(design, config: PathConfig, family: Family, pens, lambdas, start) -> SolutionPath:
+    """``solution_path``'s fits on the grid that ``path_grid`` returned."""
     inits = None
     if config.warm_start == "group_lasso_init" and family.orthonormalized:
         glasso = [PenaltySpec("glasso", lam=float(lam)) for lam in lambdas]

@@ -301,11 +301,25 @@ def solve_single_group_columns(Z: np.ndarray, lam: float, gamma: float,
     return np.where(nz <= 2 * lam, shrunk(lam), np.where(nz <= gamma * lam, mid, Z))
 
 
+def group_levels(design, lam: float) -> np.ndarray:
+    """Each group's penalty level ``c_j * lam``; one that overflows is inf, its limit."""
+    with np.errstate(over="ignore"):
+        return design.cj * lam
+
+
+def _squared(lam):
+    """``lam**2``, inf where Python's float ``**`` raises instead of overflowing."""
+    try:
+        return lam**2
+    except OverflowError:
+        return math.inf
+
+
 def _mcp(t, lam, gamma):
     # MCP value without the gamma > 1 range check: the derived outer
     # concavity of the composite penalty may legitimately drop below 1.
     return np.where(
-        t <= gamma * lam, lam * t - np.square(t) / (2 * gamma), gamma * lam**2 / 2
+        t <= gamma * lam, lam * t - np.square(t) / (2 * gamma), gamma * _squared(lam) / 2
     )
 
 
@@ -338,7 +352,8 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray = None) 
     if fam in _GROUP_RHO:
         kind, norm = _GROUP_RHO[fam]
         size = design.group_l2(coef) if norm == "l2" else design.group_sums(np.abs(coef))
-        penalty = rho(size, design.cj * lam, pen.gamma, kind)
+        # a zero group's penalty is 0, also at an infinite level
+        penalty = rho(size, np.where(size > 0, group_levels(design, lam), 0.0), pen.gamma, kind)
     elif fam == "cmcp":
         # outer MCP of the group's summed inner MCPs; the outer concavity
         # d_j * gamma_inner * lam / 2 makes the group penalty top out exactly
@@ -346,8 +361,9 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray = None) 
         if lam == 0:
             penalty = 0.0
         else:
-            inner = design.group_sums(_mcp(np.abs(coef), lam, pen.gamma_inner))
-            penalty = _mcp(inner, lam, design.dims * pen.gamma_inner * lam / 2)
+            with np.errstate(over="ignore"):  # a huge lam: the saturated levels are inf
+                inner = design.group_sums(_mcp(np.abs(coef), lam, pen.gamma_inner))
+                penalty = _mcp(inner, lam, design.dims * pen.gamma_inner * lam / 2)
     elif fam == "sgl":
         penalty = lam * design.group_sums(np.abs(coef)) + pen.lam2 * design.group_l2(coef)
     else:
@@ -373,9 +389,10 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None,
     fam, lam, dims = pen.family, pen.lam, design.dims
     if fam in TWO_NORM_FAMILIES:
         nb = design.group_l2(coef)
-        lam_j = design.cj * lam
-        slope = rho_prime(nb, lam_j, pen.gamma, _GROUP_RHO[fam][0])
         nonzero = nb > 0
+        lam_j = group_levels(design, lam)
+        # a zero group's slope is 0, also at an infinite level
+        slope = rho_prime(nb, np.where(nonzero, lam_j, 0.0), pen.gamma, _GROUP_RHO[fam][0])
         # a zero group keeps g_j itself (its coefficients are zero)
         v = design.group_l2(
             g - np.repeat(slope, dims) * coef / np.repeat(np.where(nonzero, nb, 1.0), dims)
@@ -394,14 +411,17 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None,
         w = np.zeros_like(coef)
     elif fam == "cmcp":
         gi, abs_b = pen.gamma_inner, np.abs(coef)
-        outer = _mcp_prime(design.group_sums(_mcp(abs_b, lam, gi)), lam, dims * gi * lam / 2)
-        w = np.repeat(outer, dims) * _mcp_prime(abs_b, lam, gi)
+        with np.errstate(over="ignore"):  # a huge lam: the levels and weights are inf
+            outer = _mcp_prime(design.group_sums(_mcp(abs_b, lam, gi)), lam,
+                               dims * gi * lam / 2)
+            w = np.repeat(outer, dims) * _mcp_prime(abs_b, lam, gi)
     else:
         l1 = design.group_sums(np.abs(coef))
         skip |= l1 < BRIDGE_FREEZE_TOL
-        w = np.repeat(rho_prime(np.where(skip, 1.0, l1), design.cj * lam, pen.gamma,
+        w = np.repeat(rho_prime(np.where(skip, 1.0, l1), group_levels(design, lam), pen.gamma,
                                 "bridge"), dims)
+    # copysign(w, b) is w * sign(b) wherever b != 0, without inf * 0 where b == 0
     v = np.where(coef == 0.0, np.maximum(np.abs(g) - w, 0.0),
-                 np.abs(g - w * np.sign(coef) - shift))
+                 np.abs(g - np.copysign(w, coef) - shift))
     v[np.repeat(skip, dims)] = 0.0
     return float(np.max(np.concatenate([levels, v]), initial=0.0))

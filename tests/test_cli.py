@@ -358,20 +358,23 @@ def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, command, f
     assert not list(tmp_path.glob("o*"))
 
 
-@pytest.mark.parametrize("penalty", ["glasso", "gmcp", "gscad", "gbridge", "sgl"])
+@pytest.mark.parametrize("penalty", ["glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl"])
 def test_fit_at_huge_lambda_warns_nothing(tmp_path, capsys, penalty):
-    # gamma * lam and the saturated penalty overflow to inf, which are their limits
+    # gamma * lam, lam**2, the group levels lam_j and the saturated penalty
+    # overflow to inf, which are their limits
     prefix = str(tmp_path / "d")
     assert main(["simulate", "--scenario", "figure1", "--n", "40", "--seed", "1",
                  "--out", prefix]) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["fit", *data_args(prefix), "--penalty", penalty, "--lambda", "1e308",
-                     "--out", str(tmp_path / "f")])
-    assert code == 0
-    report = json.load(open(tmp_path / "f_fit.json"))
-    assert report["n_nonzero"] == 0 and report["converged"]
-    assert report["kkt_max_violation"] == 0.0
+    for lam in ("1e308", "1.7e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", *data_args(prefix), "--penalty", penalty, "--lambda", lam,
+                         "--out", str(tmp_path / "f")])
+        assert code == 0, lam
+        report = json.load(open(tmp_path / "f_fit.json"))
+        assert report["n_nonzero"] == 0 and report["converged"], lam
+        assert report["kkt_max_violation"] == 0.0, lam
+        assert math.isfinite(report["objective"]), lam
 
 
 def test_path_reports_nonconverged_fits_on_stderr(tmp_path, fig3_files, capsys):

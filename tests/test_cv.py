@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grpsel import paths
+from grpsel import bilevel, cv, paths
 from grpsel.cv import CVReport, fold_assignments, kfold_cv
 from grpsel.design import build_design, group_norms, rebuild_design
 from grpsel.errors import ConfigError, FoldTooSmall
-from grpsel.paths import PathConfig
+from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import PenaltySpec
 
 from conftest import gaussian_problem
@@ -155,3 +155,24 @@ def test_nonconverged_fits_are_counted():
     assert kfold_cv(design, pen, FAST, K=3, seed=1).n_nonconverged == 0
     cut = kfold_cv(design, pen, replace(FAST, max_iter=1), K=3, seed=1)
     assert 0 < cut.n_nonconverged <= len(cut.grid) * 4
+
+
+def test_kfold_cv_lays_out_the_full_data_grid_once(monkeypatch):
+    # the gbridge grid starts from least squares; only the folds redo it
+    rows, real = [], bilevel.least_squares_init
+
+    def counted(design):
+        rows.append(design.n)
+        return real(design)
+
+    monkeypatch.setattr(cv, "_cpu_count", lambda: 1)  # every path in this process
+    monkeypatch.setattr(paths, "least_squares_init", counted)
+    monkeypatch.setattr(bilevel, "least_squares_init", counted)
+    X, y, labels, _ = small_signal_problem(seed=3)
+    design = build_design(X, y, labels, orthonormalize=False)
+    pen, config = PenaltySpec("gbridge", lam=0.0), PathConfig(n_lambda=5, lambda_min_ratio=0.05)
+    report = kfold_cv(design, pen, config, K=3, seed=1)
+    assert rows == [60, 40, 40, 40]
+    alone = solution_path(design, pen, config)
+    assert report.path.grid == alone.grid
+    np.testing.assert_array_equal(report.path.coef_matrix(), alone.coef_matrix())

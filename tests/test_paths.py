@@ -103,3 +103,11 @@ def test_cv_applies_default_gamma_grid_for_concave_families():
     scad = kfold_cv(orth, PenaltySpec("gscad", lam=0.0), config, K=4, seed=4)
     assert len(scad.grid) == 6 * len(DEFAULT_GAMMA_GRID["gscad"])
     assert all(g > 2 for _, g in scad.grid)
+
+
+@pytest.mark.parametrize("settings", [dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
+                                      dict(max_iter=0), dict(max_iter=-5)])
+def test_path_config_refuses_bad_solver_settings(settings):
+    with pytest.raises(ConfigError, match="tol|max_iter"):
+        PathConfig(**settings)
+    PathConfig(tol=0.0, max_iter=1)  # the edges are allowed
