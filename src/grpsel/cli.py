@@ -27,7 +27,7 @@ from .cv import kfold_cv
 from .design import build_design, group_norms
 from .errors import (ConfigError, FoldTooSmall, GammaOutOfRange, GrpselError, NonFiniteInput,
                      ParseError)
-from .paths import FAMILIES, GAMMALESS, WARM_STARTS, PathConfig, solution_path
+from .paths import FAMILIES, GAMMALESS, MAX_N_LAMBDA, WARM_STARTS, PathConfig, solution_path
 from .penalties import PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
@@ -165,29 +165,19 @@ def _parse_gammas(text):
     if text is None:
         return None
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, text.split(","))):
         try:
-            value = float(part)
+            out.append(float(part))
         except ValueError:
             raise ConfigError(f"--gamma: cannot parse {part!r} as a number") from None
-        if value in out:
-            raise ConfigError(f"--gamma: {value} is listed more than once")
-        out.append(value)
     if not out:
         raise ParseError("empty --gamma list")
     return out
 
 
-def _load_problem(args):
-    """The command's gamma list, penalty template, column names and design,
-    and the name of its grid's second column (``lambda2`` for sgl)."""
-    if not 0 <= args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and nonnegative, not {args.tol!r}")
-    if args.max_iter < 1:
-        raise ConfigError(f"--max-iter must be at least 1, not {args.max_iter}")
+def _penalty(args):
+    """The command's gamma list and penalty template, checked before any data
+    is read, and the name of its grid's second column (``lambda2`` for sgl)."""
     gammas = _parse_gammas(args.gamma)
     if gammas and args.penalty in GAMMALESS:
         raise ConfigError(f"--penalty {args.penalty} has no gamma; drop --gamma")
@@ -202,12 +192,16 @@ def _load_problem(args):
     except (ValueError, GammaOutOfRange) as exc:
         flag = "--lambda2" if args.penalty == "sgl" else "--gamma"
         raise ConfigError(f"bad {flag} value: {exc}") from None
+    return gammas, pen, "lambda2" if pen.family == "sgl" else "gamma"
+
+
+def _load_design(args, pen):
+    """The column names and design of the command's data files."""
     names, X = read_matrix_csv(args.x)
     y = read_vector_csv(args.y)
     labels = read_groups_csv(args.groups, names)
-    design = build_design(X, y, labels, weights=_weights_arg(args, pen, labels),
-                          orthonormalize=FAMILIES[pen.family].orthonormalized)
-    return gammas, pen, names, design, "lambda2" if pen.family == "sgl" else "gamma"
+    return names, build_design(X, y, labels, weights=_weights_arg(args, pen, labels),
+                               orthonormalize=FAMILIES[pen.family].orthonormalized)
 
 
 def _lambda_value(args, design, pen):
@@ -256,7 +250,10 @@ def _report_nonconverged(k: int, total: int) -> None:
 
 
 def cmd_fit(args) -> int:
-    _, pen0, names, design, second_name = _load_problem(args)
+    gammas, pen0, second_name = _penalty(args)
+    if gammas and len(gammas) > 1:
+        raise ConfigError(f"fit takes one --gamma value, not {len(gammas)}")
+    names, design = _load_design(args, pen0)
     lam = _lambda_value(args, design, pen0)
     pen = pen0.with_lam(lam, args.lambda2 if pen0.family == "sgl" else None)
     fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
@@ -286,28 +283,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _path_config(args, gammas=None) -> PathConfig:
-    if args.nlambda < 2:
-        raise ConfigError("--nlambda must be at least 2")
-    if args.lambda_min_ratio is not None and not 0 < args.lambda_min_ratio < 1:
-        raise ConfigError("--lambda-min-ratio must lie in (0, 1)")
-    if not 0 <= args.lambda2_ratio < math.inf:
-        raise ConfigError("--lambda2-ratio must be finite and nonnegative")
-    return PathConfig(
-        n_lambda=args.nlambda,
-        lambda_min_ratio=args.lambda_min_ratio,
-        gamma_grid=tuple(gammas) if gammas else None,
-        warm_start=args.warm_start,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        sgl_lambda2_ratio=args.lambda2_ratio,
-        sgl_lambda2=args.lambda2,
-    )
+def _path_config(args, gammas) -> PathConfig:
+    return PathConfig(n_lambda=args.nlambda, lambda_min_ratio=args.lambda_min_ratio,
+                      gamma_grid=tuple(gammas) if gammas else None, warm_start=args.warm_start,
+                      tol=args.tol, max_iter=args.max_iter,
+                      sgl_lambda2_ratio=args.lambda2_ratio, sgl_lambda2=args.lambda2)
 
 
 def cmd_path(args) -> int:
-    gammas, pen0, names, design, second = _load_problem(args)
-    path = solution_path(design, pen0, _path_config(args, gammas))
+    gammas, pen0, second = _penalty(args)
+    config = _path_config(args, gammas)  # every grid flag is checked before any data is read
+    names, design = _load_design(args, pen0)
+    path = solution_path(design, pen0, config)
     _report_nonconverged(sum(not f.converged for f in path.fits), len(path.fits))
     grid = np.array(path.grid)
     lead = np.column_stack([grid[:, 0], grid[:, 0] / (path.lambda_max or 1.0), grid[:, 1]])
@@ -335,10 +322,9 @@ def cmd_path(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    if args.folds < 2:
-        raise ConfigError("--folds must be at least 2")
-    gammas, pen0, names, design, second = _load_problem(args)
+    gammas, pen0, second = _penalty(args)
     config = _path_config(args, gammas)
+    names, design = _load_design(args, pen0)  # kfold_cv checks --folds against the rows
     report = kfold_cv(design, pen0, config, K=args.folds, seed=args.seed)
     _report_nonconverged(report.n_nonconverged, len(report.grid) * (args.folds + 1))
     write_csv(
@@ -409,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_grid_flags(p):
         add_data_flags(p)
-        p.add_argument("--nlambda", type=int, default=100)
+        p.add_argument("--nlambda", type=int, default=100,
+                       help=f"grid points per gamma, 2 to {MAX_N_LAMBDA}")
         p.add_argument("--lambda-min-ratio", type=float, default=None)
         p.add_argument("--warm-start", default="previous_lambda", choices=WARM_STARTS)
         p.add_argument("--lambda2-ratio", type=float, default=1.0)
@@ -421,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="column_name,group_id CSV")
         p.add_argument("--penalty", required=True, choices=list(FAMILIES))
         p.add_argument("--gamma", default=None,
-                       help="concavity parameter(s), comma list; 'inf' allowed; "
-                            "not for glasso or sgl")
+                       help="concavity parameter (path, cv: a comma list); 'inf' "
+                            "allowed; not for glasso or sgl")
         p.add_argument("--lambda2", type=float, default=None,
                        help="sgl group-level penalty")
         p.add_argument("--weights", default="sqrt", choices=["sqrt", "pow", "file"])

@@ -113,7 +113,7 @@ def _forked_map(fn, n_jobs: int) -> list:
 def kfold_cv(
     design: GroupedDesign,
     pen_template: PenaltySpec,
-    config: PathConfig = None,
+    config: PathConfig = PathConfig(),
     K: int = 10,
     seed: int = 0,
 ) -> CVReport:
@@ -124,15 +124,13 @@ def kfold_cv(
     information enters the centering or the group factors.  Grid and folds
     are checked before any fit; fold paths run in forked children (``_forked_map``).
     """
-    if config is None:
-        config = PathConfig()
     if config.gamma_grid is None and pen_template.family in DEFAULT_GAMMA_GRID:
         config = replace(config, gamma_grid=DEFAULT_GAMMA_GRID[pen_template.family])
-    grid = path_grid(design, pen_template, config)
-    lambdas = grid[2]
-    folds = fold_assignments(design.n, K, seed)
+    folds = fold_assignments(design.n, K, seed)  # before path_grid, whose gbridge top fits
     if design.n - max(map(len, folds)) < 2:
         raise FoldTooSmall("training folds need at least two rows")
+    grid = path_grid(design, pen_template, config)
+    lambdas = grid[2]
 
     def job(j):  # job 0 is the full-data path, job j > 0 scores fold j (counted from 1)
         if j == 0:  # the full-data path fits the grid laid out above

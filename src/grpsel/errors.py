@@ -49,8 +49,8 @@ class ParseError(GrpselError):
     """Malformed input file."""
 
 
-class ConfigError(GrpselError):
-    """Invalid experiment configuration."""
+class ConfigError(GrpselError, ValueError):
+    """Invalid experiment, grid or solver setting (also a ``ValueError``)."""
 
 
 class NonFiniteInput(GrpselError):

@@ -70,7 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
+from .errors import (ConfigError, DimensionMismatch, NonFiniteInput, NotOrthonormalized,
+                     UnsupportedFamily)
 from .penalties import (TWO_NORM_FAMILIES, PenaltySpec, group_levels, objective,
                         solve_single_group, solve_single_group_columns, stationarity)
 # the group KKT check's older name, which the traced benchmark wraps
@@ -178,6 +179,14 @@ def default_min_ratio(design) -> float:
     return 1e-3 if design.n > design.p else 0.05
 
 
+def check_stop_rule(tol, max_iter) -> None:
+    """Raise ``ConfigError`` unless ``0 <= tol < inf`` and ``max_iter >= 1``."""
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, not {tol!r}")
+    if not max_iter >= 1:
+        raise ConfigError(f"max_iter must be at least 1, not {max_iter!r}")
+
+
 def _start(design, init) -> np.ndarray:
     """A fresh copy of the starting coefficients (zeros when ``init`` is None).
 
@@ -232,6 +241,7 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
     The loop's end is the fit's: the ``FitResult`` keeps ``c`` and computes
     its objective, stationarity and drift only when one is first read.
     """
+    check_stop_rule(tol, max_iter)
     n, X, y = design.n, design.X, design.y
     b = _start(design, init)
 
@@ -394,6 +404,7 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     about 8 columns, and ``einsum`` the norms of 3+-column groups when wide.
     """
     _check_gcd(design, pen, "fit_gcd_columns")
+    check_stop_rule(tol, max_iter)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != design.n:
         raise DimensionMismatch(f"Y must be a matrix with {design.n} rows")

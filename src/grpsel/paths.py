@@ -3,8 +3,8 @@
 ``FAMILIES`` records, per family, the solver that fits it, the penalty
 level at which that fit is identically zero (the top of the grid), whether
 the design must be orthonormalized and which way the path runs;
-``solution_path`` walks the grid for any family from that table: ``path_grid``
-checks the settings and lays out the grid, ``fit_grid`` fits it.
+``solution_path`` walks the grid for any family from that table: ``PathConfig``
+checks the settings, ``path_grid`` lays out the grid and ``fit_grid`` fits it.
 ``fit_path`` (2-norm families), ``fit_path_lcd`` and ``fit_path_sgl`` are
 the same driver with the settings passed one by one.
 """
@@ -25,6 +25,7 @@ __all__ = ["FAMILIES", "Family", "PathConfig", "fit_grid", "fit_path", "fit_path
            "fit_path_sgl", "path_grid", "solution_path"]
 
 WARM_STARTS = ("previous_lambda", "group_lasso_init")
+MAX_N_LAMBDA = 10_000  # a larger grid is a mistake: every point is a fit, per gamma and fold
 GAMMALESS = ("glasso", "sgl")  # families without a gamma to vary
 
 
@@ -90,8 +91,8 @@ class PathConfig:
     refuse one; ``None`` means the single value carried by the penalty
     spec.  For the sgl family the group-level parameter follows the grid as
     ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
-    A negative or non-finite ``tol``, or a ``max_iter`` below 1, raises
-    ``ConfigError``.
+    Construction checks every field, the stop rule by ``gcd.check_stop_rule``;
+    a bad one raises ``ConfigError``, which names the field and its range.
     """
 
     n_lambda: int = 100
@@ -104,10 +105,19 @@ class PathConfig:
     sgl_lambda2: float = None
 
     def __post_init__(self):
-        if not 0 <= self.tol < math.inf:
-            raise ConfigError(f"tol must be finite and nonnegative, not {self.tol!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be at least 1, not {self.max_iter}")
+        ratio, gammas, lam2 = self.lambda_min_ratio, self.gamma_grid, self.sgl_lambda2
+        for name, ok, rule in (
+            ("n_lambda", 2 <= self.n_lambda <= MAX_N_LAMBDA, f"in [2, {MAX_N_LAMBDA}]"),
+            ("lambda_min_ratio", ratio is None or 0 < ratio < 1, "None or in (0, 1)"),
+            ("gamma_grid", gammas is None or 0 < len(set(gammas)) == len(gammas),
+             "None or nonempty, with no value listed more than once"),
+            ("warm_start", self.warm_start in WARM_STARTS, f"a warm start in {WARM_STARTS}"),
+            ("sgl_lambda2_ratio", 0 <= self.sgl_lambda2_ratio < math.inf, "finite and >= 0"),
+            ("sgl_lambda2", lam2 is None or 0 <= lam2 < math.inf, "None or finite and >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, not {getattr(self, name)!r}")
+        gcd.check_stop_rule(self.tol, self.max_iter)
 
 
 def _chain(family: Family, design, pens, config, start, inits=None) -> list:
@@ -128,8 +138,6 @@ def _chain(family: Family, design, pens, config, start, inits=None) -> list:
 
 def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=None):
     """A path's family, penalty per gamma, descending lambdas and start; checked, not fitted."""
-    if config.warm_start not in WARM_STARTS:
-        raise ValueError(f"unknown warm start strategy {config.warm_start!r}")
     family = FAMILIES[pen_template.family]
     if config.gamma_grid is None:
         pens = [pen_template]
@@ -137,9 +145,6 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
         raise ConfigError(f"{pen_template.family} has no gamma to vary; "
                           "gamma_grid must be None")
     else:
-        for i, g in enumerate(config.gamma_grid):
-            if g in config.gamma_grid[:i]:
-                raise ConfigError(f"gamma_grid lists {g} more than once")
         pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
     start = least_squares_init(design) if family.ascending else np.zeros(design.p)
     if lambdas is not None:
@@ -151,7 +156,7 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
 
 
 def solution_path(
-    design, pen_template: PenaltySpec, config: PathConfig = None, lambdas=None
+    design, pen_template: PenaltySpec, config: PathConfig = PathConfig(), lambdas=None
 ) -> SolutionPath:
     """Warm-started fits along a descending lambda grid, for any family.
 
@@ -164,11 +169,9 @@ def solution_path(
     With ``group_lasso_init`` every 2-norm fit starts instead from the
     group LASSO solution at the same lambda (itself a chained path).
     ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
-    Non-converged points are recorded, not raised; a repeated gamma, or a
-    ``gamma_grid`` for glasso or sgl, raises ``ConfigError``.
+    Non-converged points are recorded, not raised; a ``gamma_grid`` for
+    glasso or sgl raises ``ConfigError``.
     """
-    if config is None:
-        config = PathConfig()
     return fit_grid(design, config, *path_grid(design, pen_template, config, lambdas))
 
 

@@ -176,12 +176,12 @@ def rho(t, lam, gamma=None, family="l1"):
         # limits; np.where drops the branch that is not taken (scad: NaN at t = 0)
         with np.errstate(over="ignore", invalid="ignore"):
             if family == "mcp":
-                out = np.where(t <= gamma * lam, lam * t - t**2 / (2 * gamma),
-                               gamma * lam**2 / 2)
+                out = _mcp(t, lam, gamma)
             else:
+                lam_sq = _squared(lam)
                 inner = np.where(t <= lam, lam * t,
-                                 (2 * gamma * lam * t - t**2 - lam**2) / (2 * (gamma - 1)))
-                out = np.where(t <= gamma * lam, inner, lam**2 * (gamma + 1) / 2)
+                                 (2 * gamma * lam * t - t**2 - lam_sq) / (2 * (gamma - 1)))
+                out = np.where(t <= gamma * lam, inner, lam_sq * (gamma + 1) / 2)
     elif family == "bridge":
         out = lam * t**gamma
     else:
@@ -205,7 +205,7 @@ def rho_prime(t, lam, gamma=None, family="l1"):
         # a huge lam overflows gamma * lam to inf: the slope is then lam
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if family == "mcp":
-                out = lam * np.maximum(1.0 - t / (gamma * lam), 0.0)
+                out = _mcp_prime(t, lam, gamma)
             else:
                 out = lam * np.minimum(1.0, np.maximum(gamma - t / lam, 0.0) / (gamma - 1))
         out = np.where(np.asarray(lam) > 0, out, 0.0)
@@ -371,14 +371,13 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray = None) 
     return 0.5 * float(r @ r) / design.n + float(np.sum(penalty))
 
 
-def stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None,
-                 g: np.ndarray = None) -> float:
+def stationarity(design, pen: PenaltySpec, coef: np.ndarray, g: np.ndarray = None) -> float:
     """Largest violation of the family's optimality conditions at ``coef``.
 
     ``g`` is the loss gradient ``X'(y - X @ coef)/n`` (computed when None).
     2-norm families: group KKT.  cmcp, gbridge: the LCD fixed point, with
-    ``frozen`` groups and bridge groups below ``BRIDGE_FREEZE_TOL`` taken as
-    stationary.  sgl: ``||soft(g_j, lam)|| <= lam2`` at a zero group, and at
+    bridge groups below ``BRIDGE_FREEZE_TOL`` (frozen by ``fit_lcd``) taken
+    as stationary.  sgl: ``||soft(g_j, lam)|| <= lam2`` at a zero group, and at
     the other groups' coordinates the residual ``|g_k - w_k sign(b_k) -
     shift_k|`` (``(|g_k| - w_k)_+`` at ``b_k = 0``) that LCD takes with its
     tangent weights ``w_k`` and ``shift = 0``.  A NaN residual gives NaN.
@@ -398,7 +397,7 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, frozen=None,
             g - np.repeat(slope, dims) * coef / np.repeat(np.where(nonzero, nb, 1.0), dims)
         )
         return float(np.max(np.where(nonzero, v, np.maximum(v - lam_j, 0.0))))
-    skip = np.zeros(design.J, dtype=bool) if frozen is None else np.array(frozen, dtype=bool)
+    skip = np.zeros(design.J, dtype=bool)
     levels, shift = [], 0.0  # levels: the group-level residuals of sgl's zero groups
     if fam == "sgl":
         nb = design.group_l2(coef)

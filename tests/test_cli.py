@@ -346,16 +346,59 @@ def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
     ("fit", ["--lambda", "0.1", "--max-iter", "-5"]),
     ("path", ["--penalty", "sgl", "--lambda2-ratio", "-1"]),
     ("path", ["--penalty", "sgl", "--lambda2-ratio", "nan"]),
+    ("path", ["--nlambda", "10001"]),
+    ("path", ["--nlambda", "100000000"]),
+    ("cv", ["--nlambda", "1"]),
+    ("path", ["--lambda-min-ratio", "1"]),
+    ("cv", ["--lambda-min-ratio", "nan"]),
+    ("path", ["--penalty", "sgl", "--lambda2-ratio", "inf"]),
+    ("cv", ["--penalty", "sgl", "--lambda2", "-1"]),
+    ("cv", ["--tol", "nan"]),
 ], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1", "folds_above_rows",
         "tol_negative", "tol_nan", "tol_inf", "max_iter_0", "cv_max_iter_negative",
-        "fit_max_iter_negative", "lambda2_ratio_negative", "lambda2_ratio_nan"])
-def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, command, flags):
+        "fit_max_iter_negative", "lambda2_ratio_negative", "lambda2_ratio_nan",
+        "nlambda_above_bound", "nlambda_huge", "cv_nlambda_1", "min_ratio_1",
+        "cv_min_ratio_nan", "lambda2_ratio_inf", "cv_lambda2_negative", "cv_tol_nan"])
+def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, monkeypatch, command,
+                                        flags):
+    from grpsel import cli
+
+    if command != "fit" and "--folds" not in flags:
+        # path and cv check every grid setting before they read the data;
+        # --folds is checked against the number of rows, and fit has no grid
+        monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
     # a later --penalty replaces the first one
     code = main([command, *data_args(fig3_files), "--penalty", "glasso", *flags,
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.glob("o*"))
+
+
+def test_cv_refuses_one_fold_before_the_bridge_grid_top_runs(tmp_path, fig3_files, capsys,
+                                                            monkeypatch):
+    from grpsel import bilevel
+
+    monkeypatch.setattr(bilevel, "bridge_lambda_upper", lambda *a: pytest.fail("a fit ran"))
+    code = main(["cv", *data_args(fig3_files), "--penalty", "gbridge", "--folds", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: need at least two folds")
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("penalty", ["gmcp", "cmcp"])
+def test_fit_with_a_gamma_list_exits_2_before_reading(tmp_path, fig3_files, capsys,
+                                                      monkeypatch, penalty):
+    # fit has one gamma; a list used to fit its first value and drop the rest
+    from grpsel import cli
+
+    monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
+    code = main(["fit", *data_args(fig3_files), "--penalty", penalty, "--gamma", "2.7,3.7",
+                 "--lambda", "0.1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: fit takes one --gamma value")
+    assert list(tmp_path.glob("o*")) == []
 
 
 @pytest.mark.parametrize("penalty", ["glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl"])

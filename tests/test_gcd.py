@@ -16,7 +16,7 @@ from grpsel.bilevel import (
     sgl_lambda_max,
 )
 from grpsel.design import GroupedDesign, build_design, group_norms, rebuild_design
-from grpsel.errors import NonFiniteInput, NotOrthonormalized, UnsupportedFamily
+from grpsel.errors import ConfigError, NonFiniteInput, NotOrthonormalized, UnsupportedFamily
 from grpsel.gcd import fit_gcd, fit_gcd_columns, fit_path, kkt_check, lambda_grid, lambda_max
 from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import PenaltySpec, objective
@@ -25,6 +25,43 @@ from conftest import (accepted_extrapolations, assert_close_to_reference,
                       cross_orthogonal_design, gaussian_design, gaussian_problem,
                       record_extrapolations)
 from oracles import solve_single_group_reference
+
+
+def _stop_rule_solvers():
+    orth, _ = gaussian_design(30, [2, 2], beta=[1.0, 0.0, 0.0, 0.0], sigma=0.5, seed=3)
+    flat, _ = gaussian_design(30, [2, 2], beta=[1.0, 0.0, 0.0, 0.0], sigma=0.5, seed=3,
+                              orthonormalize=False)
+    gmcp = PenaltySpec("gmcp", lam=0.05)
+    return {
+        "fit_gcd": lambda **kw: fit_gcd(orth, gmcp, check_descent=True, **kw).iterations,
+        "fit_lcd": lambda **kw: fit_lcd(flat, PenaltySpec("cmcp", lam=0.05),
+                                        check_descent=True, **kw).iterations,
+        "fit_sparse_group_lasso": lambda **kw: fit_sparse_group_lasso(
+            flat, 0.05, 0.05, check_descent=True, **kw).iterations,
+        "fit_gcd_columns": lambda **kw: int(fit_gcd_columns(orth, gmcp, orth.y[:, None],
+                                                            **kw)[1][0]),
+    }
+
+
+@pytest.mark.parametrize("solver", ["fit_gcd", "fit_lcd", "fit_sparse_group_lasso",
+                                    "fit_gcd_columns"])
+@pytest.mark.parametrize("settings", [dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
+                                      dict(max_iter=0), dict(max_iter=-1)],
+                         ids=["tol_negative", "tol_nan", "tol_inf", "max_iter_0",
+                              "max_iter_negative"])
+def test_solvers_refuse_a_bad_stop_rule_before_any_cycle(solver, settings, monkeypatch):
+    # a NaN tol never stops, an infinite one calls the first cycle converged,
+    # and max_iter 0 returns the start unfitted
+    run, (name,) = _stop_rule_solvers()[solver], settings
+    with monkeypatch.context() as patched:
+        # the descent's first objective (check_descent) or the batched threshold
+        patched.setattr(gcd, "objective", lambda *a, **k: pytest.fail("the descent began"))
+        patched.setattr(gcd, "solve_single_group_columns",
+                        lambda *a, **k: pytest.fail("a cycle ran"))
+        with pytest.raises(ConfigError, match=f"^{name} must") as caught:
+            run(**settings)
+    assert isinstance(caught.value, ValueError)
+    assert run(tol=0.0, max_iter=1) == 1  # the edges are allowed
 
 
 def _hand_design():

@@ -5,7 +5,7 @@ import pytest
 
 from grpsel.cv import DEFAULT_GAMMA_GRID, kfold_cv
 from grpsel.errors import ConfigError
-from grpsel.paths import PathConfig, solution_path
+from grpsel.paths import MAX_N_LAMBDA, PathConfig, solution_path
 from grpsel.penalties import PenaltySpec
 
 from conftest import gaussian_design
@@ -42,19 +42,22 @@ def test_lcd_multi_gamma_sweep_concatenates_blocks():
 @pytest.mark.parametrize("family,gammas", [("gmcp", (1.2, 1.2)), ("cmcp", (2.0, 3.0, 2.0)),
                                            ("gscad", (math.inf, 3.7, math.inf))])
 def test_repeated_gamma_is_rejected_before_any_fit(family, gammas, monkeypatch):
-    # a repeated gamma would fit the same grid twice; both entry points must
-    # refuse it, and before any solver runs
+    # a repeated gamma would fit the same grid twice; the config of both
+    # entry points refuses it, so no solver runs
     from grpsel import paths
 
     design, _ = gaussian_design(40, [2, 2], sigma=0.5, seed=4, beta=[1.0, 0.0, 0.0, -0.5],
                                 orthonormalize=family != "cmcp")
     monkeypatch.setattr(paths, "_chain", lambda *args, **kw: pytest.fail("a fit ran"))
-    config = PathConfig(n_lambda=5, gamma_grid=gammas)
+
+    def config():
+        return PathConfig(n_lambda=5, gamma_grid=gammas)
+
     repeated = str(gammas[-1])
     with pytest.raises(ConfigError, match=repeated):
-        solution_path(design, PenaltySpec(family, lam=0.0), config)
+        solution_path(design, PenaltySpec(family, lam=0.0), config())
     with pytest.raises(ConfigError, match=repeated):
-        kfold_cv(design, PenaltySpec(family, lam=0.0), config, K=3, seed=0)
+        kfold_cv(design, PenaltySpec(family, lam=0.0), config(), K=3, seed=0)
 
 
 @pytest.mark.parametrize("family", ["glasso", "sgl"])
@@ -105,9 +108,22 @@ def test_cv_applies_default_gamma_grid_for_concave_families():
     assert all(g > 2 for _, g in scad.grid)
 
 
-@pytest.mark.parametrize("settings", [dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf),
-                                      dict(max_iter=0), dict(max_iter=-5)])
+@pytest.mark.parametrize("settings", [
+    dict(tol=-1.0), dict(tol=math.nan), dict(tol=math.inf), dict(max_iter=0), dict(max_iter=-5),
+    dict(max_iter=-1), dict(n_lambda=1), dict(n_lambda=MAX_N_LAMBDA + 1),
+    dict(lambda_min_ratio=0.0), dict(lambda_min_ratio=1.0), dict(lambda_min_ratio=2.0),
+    dict(lambda_min_ratio=math.nan), dict(warm_start="bogus"), dict(gamma_grid=(1.2, 1.2)),
+    dict(gamma_grid=()), dict(sgl_lambda2_ratio=-1.0), dict(sgl_lambda2_ratio=math.nan),
+    dict(sgl_lambda2_ratio=math.inf), dict(sgl_lambda2=-1.0), dict(sgl_lambda2=math.nan),
+    dict(sgl_lambda2=math.inf),
+])
 def test_path_config_refuses_bad_solver_settings(settings):
-    with pytest.raises(ConfigError, match="tol|max_iter"):
+    # PathConfig owns every grid and solver setting: each rule names its field
+    (name,) = settings
+    with pytest.raises(ConfigError, match=rf"^{name} must") as caught:
         PathConfig(**settings)
-    PathConfig(tol=0.0, max_iter=1)  # the edges are allowed
+    assert isinstance(caught.value, ValueError)
+    # the edges are allowed
+    PathConfig(n_lambda=2, lambda_min_ratio=5e-324, gamma_grid=(1.2, math.inf), tol=0.0,
+               max_iter=1, sgl_lambda2_ratio=0.0, sgl_lambda2=0.0)
+    PathConfig(n_lambda=MAX_N_LAMBDA, warm_start="group_lasso_init")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,21 +427,37 @@ def test_stationarity_rejects_unknown_family():
         stationarity(design, fake, np.zeros(2))
 
 
-def _stationarity_oracle(design, pen, coef, frozen):
+@pytest.mark.parametrize("family", ["mcp", "scad"])
+@pytest.mark.parametrize("lam", [1e200, 1.7e308])
+def test_rho_at_a_huge_level_takes_its_limits_without_warning(family, lam):
+    # lam**2 overflows, so the saturated penalty is inf, its limit; lam * t may too
+    t = np.array([0.0, 1.0, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slope = rho(1.0, lam, 3.0, family), rho_prime(1.0, lam, 3.0, family)
+        values, slopes = rho(t, lam, 3.0, family), rho_prime(t, lam, 3.0, family)
+        saturated = rho(4e200, lam, 3.0, family) if lam == 1e200 else math.inf
+    assert type(value) is float and value == pytest.approx(lam, rel=1e-15)
+    assert type(slope) is float and slope == pytest.approx(lam, rel=1e-15)
+    assert values.tolist() == [0.0, value, math.inf] and saturated == math.inf
+    assert slopes.tolist() == [lam, slope, lam]
+
+
+def _stationarity_oracle(design, pen, coef):
     if pen.family in TWO_NORM_FAMILIES:
         return kkt_reference(design, pen, coef)
     if pen.family == "sgl":
         return sgl_kkt_reference(design, coef, pen.lam, pen.lam2)
-    return lcd_stationarity_reference(design, pen, coef, frozen)
+    return lcd_stationarity_reference(design, pen, coef)
 
 
-def _older_name(design, pen, coef, frozen):
+def _older_name(design, pen, coef):
     # the per-family names that the traced benchmark and its checker call
     if pen.family in TWO_NORM_FAMILIES:
         return kkt_check(design, pen, coef)
     if pen.family == "sgl":
         return sgl_kkt(design, coef, pen.lam, pen.lam2)
-    return lcd_stationarity(design, pen, coef, frozen)
+    return lcd_stationarity(design, pen, coef)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -452,27 +469,18 @@ def test_stationarity_is_the_fit_residual_and_matches_the_oracles(family):
     template = PenaltySpec(family, lam=0.0)
     path = solution_path(design, template, PathConfig(n_lambda=6, lambda_min_ratio=0.05))
     rng = np.random.default_rng(11)
-    some_frozen = False
     for (lam, second), fit in zip(path.grid, path.fits):
         pen = template.with_lam(lam, second if family == "sgl" else None)
-        # a frozen bridge group is pinned at exactly zero; the fit does not
-        # pass the list, and stationarity skips a bridge group that small anyway
-        zero = design.group_l2(fit.coef) == 0.0
-        frozen = zero.tolist() if family == "gbridge" and lam > 0 else None
-        some_frozen |= frozen is not None and any(frozen) and not all(frozen)
-        assert stationarity(design, pen, fit.coef, frozen) == fit.kkt_max_violation
+        # a frozen bridge group is pinned at exactly zero, which stationarity skips
         assert stationarity(design, pen, fit.coef) == fit.kkt_max_violation
         for _ in range(4):
-            # random coefficients with zero entries, zero groups and frozen
-            # groups at nonzero values (which the LCD check must skip)
+            # random coefficients with zero entries and zero groups
             coef = rng.normal(size=design.p) * (rng.random(design.p) < 0.6)
             coef[design.group_slice(int(rng.integers(design.J)))] = 0.0
-            frozen = (rng.random(design.J) < 0.3).tolist()
-            got = stationarity(design, pen, coef, frozen)
-            ref = _stationarity_oracle(design, pen, coef, frozen)
+            got = stationarity(design, pen, coef)
+            ref = _stationarity_oracle(design, pen, coef)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
-            assert _older_name(design, pen, coef, frozen) == got
-    assert some_frozen or family != "gbridge"
+            assert _older_name(design, pen, coef) == got
 
 
 @pytest.mark.parametrize("family", FAMILIES)
