@@ -63,7 +63,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .gcd import FitResult, SolutionPath, _descend, _group_sweep, _start
+from .gcd import FitResult, SolutionPath, _descend, _group_sweep, _start, check_entry
 # ``objective``, ``soft_threshold_vec`` and ``lcd_stationarity`` (the LCD
 # fixed-point residual under its older name) are not called here; the traced
 # benchmark looks them up in this module by name.
@@ -131,21 +131,16 @@ def fit_lcd(
 ) -> FitResult:
     """Local coordinate descent for bi-level penalties.
 
-    The design must be standardized, not orthonormalized.  ``init`` lives
-    in internal coordinates; by default the composite MCP starts from zero
-    while the group bridge starts from the least squares fit (its tangent
-    slope is unbounded at an all-zero group, so zero is a fixed point).
+    The design must be standardized, not orthonormalized (``check_entry``).
+    ``init`` lives in internal coordinates; by default the composite MCP
+    starts from zero while the group bridge starts from the least squares
+    fit (its tangent slope is unbounded at an all-zero group, so zero is a
+    fixed point).
     A bridge group whose 1-norm is below ``BRIDGE_FREEZE_TOL`` at the start
     or after any of its coordinate updates is pinned at exactly zero for
     the rest of the fit, where ``stationarity`` counts it as stationary.
     """
-    if pen.family not in LCD_FAMILIES:
-        raise UnsupportedFamily(f"fit_lcd does not handle {pen.family!r}")
-    if design.orthonormalized:
-        raise ValueError(
-            "fit_lcd needs a design built with orthonormalize=False; "
-            "orthonormalization does not preserve coordinate-wise sparsity"
-        )
+    check_entry("fit_lcd", LCD_FAMILIES, design, pen, tol, max_iter)
     lam, cmcp = pen.lam, pen.family == "cmcp"
     bounds = [(start, start + size) for start, size in design.groups]
     grams, rows = design.block_grams, design.gram_rows
@@ -260,10 +255,7 @@ def fit_sparse_group_lasso(
     regardless of the starting value.
     """
     pen = PenaltySpec("sgl", lam=lam1, lam2=lam2)
-    if design.orthonormalized:
-        raise ValueError(
-            "fit_sparse_group_lasso needs a design built with orthonormalize=False"
-        )
+    check_entry("fit_sparse_group_lasso", ("sgl",), design, pen, tol, max_iter)
     lips = design.block_lipschitz
     steps = [(L, lam1 / L, lam2 / L) for L in lips]  # L, both thresholds in units of zt
     slack = SKIP_SLACK * np.sqrt(design.dims)

@@ -27,8 +27,9 @@ from .cv import kfold_cv
 from .design import build_design, group_norms
 from .errors import (ConfigError, FoldTooSmall, GammaOutOfRange, GrpselError, NonFiniteInput,
                      ParseError)
+from .gcd import check_stop_rule
 from .paths import FAMILIES, GAMMALESS, MAX_N_LAMBDA, WARM_STARTS, PathConfig, solution_path
-from .penalties import PenaltySpec
+from .penalties import TWO_NORM_FAMILIES, PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
 
@@ -161,7 +162,8 @@ def _weights_arg(args, pen: PenaltySpec, labels):
     raise ParseError(f"unknown weights rule {args.weights!r}")
 
 
-def _parse_gammas(text):
+def _parse_numbers(text, flag):
+    """The numbers of a flag's comma list, a tuple (None when the flag is absent)."""
     if text is None:
         return None
     out = []
@@ -169,16 +171,16 @@ def _parse_gammas(text):
         try:
             out.append(float(part))
         except ValueError:
-            raise ConfigError(f"--gamma: cannot parse {part!r} as a number") from None
+            raise ConfigError(f"{flag}: cannot parse {part!r} as a number") from None
     if not out:
-        raise ParseError("empty --gamma list")
-    return out
+        raise ConfigError(f"empty {flag} list")
+    return tuple(out)
 
 
 def _penalty(args):
     """The command's gamma list and penalty template, checked before any data
     is read, and the name of its grid's second column (``lambda2`` for sgl)."""
-    gammas = _parse_gammas(args.gamma)
+    gammas = _parse_numbers(args.gamma, "--gamma")
     if gammas and args.penalty in GAMMALESS:
         raise ConfigError(f"--penalty {args.penalty} has no gamma; drop --gamma")
     try:
@@ -201,16 +203,7 @@ def _load_design(args, pen):
     y = read_vector_csv(args.y)
     labels = read_groups_csv(args.groups, names)
     return names, build_design(X, y, labels, weights=_weights_arg(args, pen, labels),
-                               orthonormalize=FAMILIES[pen.family].orthonormalized)
-
-
-def _lambda_value(args, design, pen):
-    if args.lam == "max":
-        return FAMILIES[pen.family].top(design, pen, None)
-    try:
-        return pen.with_lam(float(args.lam)).lam
-    except ValueError as exc:
-        raise ConfigError(f"bad --lambda value {args.lam!r}: {exc}") from None
+                               orthonormalize=pen.family in TWO_NORM_FAMILIES)
 
 
 def cmd_simulate(args) -> int:
@@ -220,8 +213,8 @@ def cmd_simulate(args) -> int:
         sigma=args.sigma,
         correlation=args.correlation,
         seed=args.seed,
-        group_sizes=tuple(int(v) for v in args.group_sizes.split(",")) if args.group_sizes else None,
-        beta=tuple(float(v) for v in args.beta.split(",")) if args.beta else None,
+        group_sizes=_parse_numbers(args.group_sizes, "--group-sizes"),
+        beta=_parse_numbers(args.beta, "--beta"),
     )
     data = make_scenario(spec)
     prefix = args.out
@@ -253,9 +246,14 @@ def cmd_fit(args) -> int:
     gammas, pen0, second_name = _penalty(args)
     if gammas and len(gammas) > 1:
         raise ConfigError(f"fit takes one --gamma value, not {len(gammas)}")
+    try:  # a number is checked before any data is read
+        pen = pen0 if args.lam == "max" else pen0.with_lam(float(args.lam))
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambda value {args.lam!r}: {exc}") from None
+    check_stop_rule(args.tol, args.max_iter)
     names, design = _load_design(args, pen0)
-    lam = _lambda_value(args, design, pen0)
-    pen = pen0.with_lam(lam, args.lambda2 if pen0.family == "sgl" else None)
+    if args.lam == "max":  # the family's grid top, which needs the data
+        pen = pen0.with_lam(FAMILIES[pen0.family].top(design, pen0, None))
     fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
     second_val = pen.lam2 if pen.family == "sgl" else pen.shape_param
     write_csv(
@@ -285,7 +283,7 @@ def cmd_fit(args) -> int:
 
 def _path_config(args, gammas) -> PathConfig:
     return PathConfig(n_lambda=args.nlambda, lambda_min_ratio=args.lambda_min_ratio,
-                      gamma_grid=tuple(gammas) if gammas else None, warm_start=args.warm_start,
+                      gamma_grid=gammas, warm_start=args.warm_start,
                       tol=args.tol, max_iter=args.max_iter,
                       sgl_lambda2_ratio=args.lambda2_ratio, sgl_lambda2=args.lambda2)
 
@@ -305,7 +303,7 @@ def cmd_path(args) -> int:
                   np.hstack([lead, norms])),
     }
     blocks = [("", slice(None))]
-    if FAMILIES[pen0.family].orthonormalized and gammas and len(gammas) > 1:
+    if gammas and len(gammas) > 1:
         # solution_path lays out one equal-length block per gamma, in list order
         size = len(path.grid) // len(gammas)
         blocks = [(f"_gamma{g}", slice(k * size, (k + 1) * size))

@@ -128,6 +128,14 @@ class GroupedDesign:
         """Each group's block Lipschitz constant, the top eigenvalue of ``X_j'X_j/n``."""
         return [float(np.linalg.eigvalsh(np.array(G))[-1]) for G in self.block_grams]
 
+    def gradient(self, b: np.ndarray, y: np.ndarray = None) -> np.ndarray:
+        """The loss gradient ``X'(y - Xb)/n`` (``y``: the design's response by default).
+
+        ``b`` is a vector, or p x R with the columns of an n x R ``y``; an
+        all-zero ``b`` skips the product ``Xb``."""
+        y = self.y if y is None else y
+        return self.X.T @ (y - self.X @ b if b.any() else y) / self.n
+
     def group_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-group sums of an internal-order vector of length p."""
         return np.add.reduceat(v, self.starts)

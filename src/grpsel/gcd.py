@@ -4,8 +4,9 @@ Every solver in the package cycles over the groups, exactly minimizes a
 one-group (or one-coordinate) surrogate and keeps one running vector, the
 loss gradient ``c = X'(y - Xb)/n``.  That loop is written once, in
 ``_descend``: starting values, the running gradient and its periodic
-refresh, the convergence and non-finite tests, the per-update descent
-check and the ``FitResult``.  A fit's objective, stationarity residual and
+refresh (``GroupedDesign.gradient``), the stop rule (``_stop``), the
+per-update descent check and the ``FitResult``; each solver first calls
+``check_entry``.  A fit's objective, stationarity residual and
 gradient drift come from ``penalties.objective`` and
 ``penalties.stationarity`` for every family, computed together on the
 first read of any of them: paths and cross-validation never read them, so
@@ -187,16 +188,44 @@ def check_stop_rule(tol, max_iter) -> None:
         raise ConfigError(f"max_iter must be at least 1, not {max_iter!r}")
 
 
-def _start(design, init) -> np.ndarray:
-    """A fresh copy of the starting coefficients (zeros when ``init`` is None).
+def check_entry(name, families, design, pen, tol, max_iter) -> None:
+    """Every solver's check before any work: ``families``, design kind, stop rule.
+
+    A 2-norm family (``TWO_NORM_FAMILIES``) needs orthonormalized blocks
+    (else ``NotOrthonormalized``), a coordinate-wise one standardized blocks,
+    whose zeros orthonormalization would mix (else ``UnsupportedFamily``).
+    """
+    if pen.family not in families:
+        raise UnsupportedFamily(f"{name} handles {families}, not {pen.family!r}")
+    two_norm = pen.family in TWO_NORM_FAMILIES
+    if design.orthonormalized != two_norm:
+        error = NotOrthonormalized if two_norm else UnsupportedFamily
+        raise error(f"{name} fits {pen.family} only on a design built with "
+                    f"orthonormalize={two_norm}")
+    check_stop_rule(tol, max_iter)
+
+
+def _stop(c, delta, tol):
+    """(stop, converged) after a cycle: stop on a non-finite running gradient
+    ``c`` or a largest move ``delta <= tol``, converged only in the second case.
+    ``c`` is a vector with a float ``delta``, or p x R with one per column."""
+    finite = np.isfinite(c).all(axis=0)
+    converged = finite & (delta <= tol)
+    return converged | ~finite, converged
+
+
+def _start(design, init, R=None) -> np.ndarray:
+    """A fresh copy of ``init`` (zeros when None), p or (given ``R``) p x R.
 
     A NaN or infinite start raises ``NonFiniteInput`` before any work.
     """
+    shape = (design.p,) if R is None else (design.p, R)
     if init is None:
-        return np.zeros(design.p)
-    b = np.asarray(init, dtype=float).ravel().copy()
-    if b.shape != (design.p,):
-        raise ValueError("init has the wrong length")
+        return np.zeros(shape)
+    b = np.array(init, dtype=float)
+    b = b.ravel() if R is None else b
+    if b.shape != shape:
+        raise ValueError(f"init has shape {b.shape}, not {shape}")
     if not np.isfinite(b).all():
         raise NonFiniteInput("init contains NaN or infinite entries")
     return b
@@ -232,23 +261,16 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
     place, calls ``note()`` (when it is not None) after every group or
     coordinate update, and returns the largest coefficient move of the
     cycle.  ``c`` is recomputed from ``b`` at the start and every 100
-    cycles.  Convergence is declared when no coefficient moves by more than
-    ``tol`` over a cycle; if ``max_iter`` cycles pass without that, or ``c``
-    turns non-finite, the last iterate is returned with ``converged=False``.
+    cycles.  The loop ends as ``_stop`` says, or after ``max_iter`` cycles
+    with ``converged=False``; the caller has made its ``check_entry``.
     With ``accelerate``, every ``ANDERSON_K + 1`` unconverged cycles end in
     an Anderson attempt (module docstring).  An accepted point refreshes
     ``c`` and is ``note()``d; a singular or non-finite system skips it.
     The loop's end is the fit's: the ``FitResult`` keeps ``c`` and computes
     its objective, stationarity and drift only when one is first read.
     """
-    check_stop_rule(tol, max_iter)
-    n, X, y = design.n, design.X, design.y
     b = _start(design, init)
-
-    def fresh(b):
-        return X.T @ (y - X @ b if np.any(b) else y) / n
-
-    c = fresh(b)
+    c = design.gradient(b)
 
     note = None
     max_increase = None
@@ -263,16 +285,11 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
             max_increase = max(max_increase, obj - prev_obj)
             prev_obj = obj
 
-    converged = False
-    iterations = 0
     window, size = [], ANDERSON_K + 1 if accelerate and ANDERSON_K else 0
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):
         delta = sweep(b, c, note)
-        if not np.isfinite(c).all():
-            break  # a non-finite running gradient can never count as converged
-        if delta <= tol:
-            converged = True
+        stop, converged = _stop(c, delta, tol)
+        if stop:
             break
         if size:
             window.append(b.copy())
@@ -280,18 +297,18 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
                 point, window = _extrapolate(window), []
                 if point is not None and objective(design, point, pen) < objective(design, b, pen):
                     b[:] = point
-                    c = fresh(b)
+                    c = design.gradient(b)
                     if note:
                         note()
-        if it % 100 == 0:
-            c = fresh(b)  # guard against floating-point drift in the running gradient
+        if iterations % 100 == 0:
+            c = design.gradient(b)  # guard against floating-point drift in the running gradient
 
     fit = FitResult(
         beta=design.back_transform(b),
         coef=b,
         objective=None,
         iterations=iterations,
-        converged=converged,
+        converged=bool(converged),
         kkt_max_violation=None,
         # no update noted (every group frozen) means no increase either
         max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
@@ -311,18 +328,15 @@ def fit_gcd(
     """Group coordinate descent fit at a single (lam, gamma).
 
     ``init`` is a starting value in the design's internal coordinates
-    (zeros by default).  Convergence is declared when no coefficient moves
-    by more than ``tol`` over a full cycle; if ``max_iter`` cycles pass
-    without that, or the running gradient turns non-finite, the last
-    iterate is returned with ``converged=False``.
-    With ``check_descent`` the objective is evaluated after every group
+    (zeros by default).  The fit stops as ``_stop`` says, or unconverged
+    after ``max_iter`` cycles.  With ``check_descent`` the objective is evaluated after every group
     update and the largest observed increase is recorded (it should never
     exceed roundoff).
 
     For the concave families the result is a stationary point, not
     necessarily a global minimizer.
     """
-    _check_gcd(design, pen, "fit_gcd")
+    check_entry("fit_gcd", TWO_NORM_FAMILIES, design, pen, tol, max_iter)
     gamma, family = pen.gamma, pen.family
     thresholds, ones = group_levels(design, pen.lam).tolist(), [1.0] * design.J
 
@@ -374,13 +388,6 @@ def _group_sweep(design, skip_norms, levels, rates, weights, visit):
     return sweep
 
 
-def _check_gcd(design, pen, name):
-    if pen.family not in TWO_NORM_FAMILIES:
-        raise UnsupportedFamily(f"{name} handles {TWO_NORM_FAMILIES}, not {pen.family!r}")
-    if not design.orthonormalized:
-        raise NotOrthonormalized(f"{name} requires a design built with orthonormalize=True")
-
-
 def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = None,
                     tol: float = 1e-7, max_iter: int = 10_000):
     """``fit_gcd`` on every column of the n x R response matrix ``Y``, in one descent.
@@ -403,25 +410,20 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
     still depend on R: BLAS rounds ``R_j' diff`` otherwise on fewer than
     about 8 columns, and ``einsum`` the norms of 3+-column groups when wide.
     """
-    _check_gcd(design, pen, "fit_gcd_columns")
-    check_stop_rule(tol, max_iter)
+    check_entry("fit_gcd_columns", TWO_NORM_FAMILIES, design, pen, tol, max_iter)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != design.n:
         raise DimensionMismatch(f"Y must be a matrix with {design.n} rows")
     if not np.isfinite(Y).all():
         raise NonFiniteInput("Y contains NaN or infinite entries")
-    n, X, R = design.n, design.X, Y.shape[1]
-    B = np.zeros((design.p, R)) if init is None else np.array(init, dtype=float)
-    if B.shape != (design.p, R):
-        raise ValueError("init has the wrong shape")
-    if not np.isfinite(B).all():
-        raise NonFiniteInput("init contains NaN or infinite entries")
+    R = Y.shape[1]
+    B = _start(design, init, R)
     thresholds = group_levels(design, pen.lam).tolist()
     lam_j = np.array(thresholds)[:, None]
     bounds = [(a, a + d) for a, d in design.groups]
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
     run, b = np.arange(R), B.copy()  # the columns still cycling, and their coefficients
-    c = X.T @ (Y - X @ b if b.any() else Y) / n  # their running gradients
+    c = design.gradient(b, Y)  # their running gradients
     for it in range(1, max_iter + 1):
         c_norms = np.sqrt(np.add.reduceat(c * c, design.starts))
         nonzero = np.logical_or.reduceat(b != 0, design.starts)
@@ -448,16 +450,14 @@ def fit_gcd_columns(design, pen: PenaltySpec, Y: np.ndarray, init: np.ndarray = 
             moved += np.sqrt(np.einsum("ij,ij->j", diff, diff))
             stale = True
         iterations[run] = it
-        finite = np.isfinite(c).all(axis=0)  # a non-finite gradient stops unconverged
-        converged[run] = finite & (delta <= tol)
-        stop = ~finite | (delta <= tol)
+        stop, converged[run] = _stop(c, delta, tol)
         if stop.any():
             B[:, run[stop]] = b[:, stop]
             run, b, c = run[~stop], b[:, ~stop], c[:, ~stop]
             if not run.size:
                 break
         if it % 100 == 0:
-            c = X.T @ (Y[:, run] - X @ b) / n  # guard against drift in the running gradients
+            c = design.gradient(b, Y[:, run])  # guard against drift in the running gradients
     B[:, run] = b
     return B, iterations, converged
 

@@ -1,8 +1,9 @@
 """Warm-started pathwise fits, one driver for every penalty family.
 
 ``FAMILIES`` records, per family, the solver that fits it, the penalty
-level at which that fit is identically zero (the top of the grid), whether
-the design must be orthonormalized and which way the path runs;
+level at which that fit is identically zero (the top of the grid) and
+which way the path runs (the design kind each family needs is
+``penalties.TWO_NORM_FAMILIES``);
 ``solution_path`` walks the grid for any family from that table: ``PathConfig``
 checks the settings, ``path_grid`` lays out the grid and ``fit_grid`` fits it.
 ``fit_path`` (2-norm families), ``fit_path_lcd`` and ``fit_path_sgl`` are
@@ -19,7 +20,7 @@ from . import bilevel, gcd
 from .bilevel import fit_path_lcd, fit_path_sgl, least_squares_init
 from .errors import ConfigError
 from .gcd import SolutionPath, default_min_ratio, fit_path, lambda_grid
-from .penalties import PenaltySpec
+from .penalties import TWO_NORM_FAMILIES, PenaltySpec
 
 __all__ = ["FAMILIES", "Family", "PathConfig", "fit_grid", "fit_path", "fit_path_lcd",
            "fit_path_sgl", "path_grid", "solution_path"]
@@ -43,19 +44,13 @@ class Family:
 
     fit: Callable
     top: Callable
-    orthonormalized: bool
     ascending: bool = False
 
 
 _GROUP = Family(
     fit=lambda design, pen, **kw: gcd.fit_gcd(design, pen, **kw),
     top=lambda design, pen, start: gcd.lambda_max(design),
-    orthonormalized=True,
 )
-
-
-def _fit_lcd(design, pen, **kw):
-    return bilevel.fit_lcd(design, pen, **kw)
 
 
 FAMILIES = {
@@ -64,21 +59,18 @@ FAMILIES = {
     "gscad": _GROUP,
     # a bridge group at zero cannot re-enter (its tangent slope diverges)
     "gbridge": Family(
-        fit=_fit_lcd,
+        fit=lambda design, pen, **kw: bilevel.fit_lcd(design, pen, **kw),
         top=lambda design, pen, start: bilevel.bridge_lambda_upper(design, pen, start),
-        orthonormalized=False,
         ascending=True,
     ),
     "cmcp": Family(
-        fit=_fit_lcd,
+        fit=lambda design, pen, **kw: bilevel.fit_lcd(design, pen, **kw),
         top=lambda design, pen, start: bilevel.cmcp_lambda_max(design),
-        orthonormalized=False,
     ),
     "sgl": Family(
         fit=lambda design, pen, **kw: bilevel.fit_sparse_group_lasso(
             design, pen.lam, pen.lam2, **kw),
         top=lambda design, pen, start: bilevel.sgl_lambda_max(design),
-        orthonormalized=False,
     ),
 }
 
@@ -138,12 +130,15 @@ def _chain(family: Family, design, pens, config, start, inits=None) -> list:
 
 def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=None):
     """A path's family, penalty per gamma, descending lambdas and start; checked, not fitted."""
-    family = FAMILIES[pen_template.family]
+    name = pen_template.family
+    family = FAMILIES[name]
+    if config.warm_start == "group_lasso_init" and name not in TWO_NORM_FAMILIES:
+        raise ConfigError(f"warm_start group_lasso_init starts {TWO_NORM_FAMILIES} fits "
+                          f"only, not {name}")
     if config.gamma_grid is None:
         pens = [pen_template]
-    elif pen_template.family in GAMMALESS:
-        raise ConfigError(f"{pen_template.family} has no gamma to vary; "
-                          "gamma_grid must be None")
+    elif name in GAMMALESS:
+        raise ConfigError(f"{name} has no gamma to vary; gamma_grid must be None")
     else:
         pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
     start = least_squares_init(design) if family.ascending else np.zeros(design.p)
@@ -166,11 +161,12 @@ def solution_path(
     grids built on different data (cross-validation folds) stay aligned
     point-for-point.  Each fit starts from the previous lambda's solution,
     the first from zero, or from least squares for an ascending family.
-    With ``group_lasso_init`` every 2-norm fit starts instead from the
-    group LASSO solution at the same lambda (itself a chained path).
-    ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
+    With ``group_lasso_init`` every fit of a 2-norm family starts instead
+    from the group LASSO solution at the same lambda (itself a chained
+    path).  ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
     Non-converged points are recorded, not raised; a ``gamma_grid`` for
-    glasso or sgl raises ``ConfigError``.
+    glasso or sgl, or ``group_lasso_init`` for a family outside
+    ``TWO_NORM_FAMILIES``, raises ``ConfigError``.
     """
     return fit_grid(design, config, *path_grid(design, pen_template, config, lambdas))
 
@@ -178,7 +174,7 @@ def solution_path(
 def fit_grid(design, config: PathConfig, family: Family, pens, lambdas, start) -> SolutionPath:
     """``solution_path``'s fits on the grid that ``path_grid`` returned."""
     inits = None
-    if config.warm_start == "group_lasso_init" and family.orthonormalized:
+    if config.warm_start == "group_lasso_init":  # a 2-norm family (path_grid)
         glasso = [PenaltySpec("glasso", lam=float(lam)) for lam in lambdas]
         inits = [fit.coef for fit in _chain(_GROUP, design, glasso, config, start)]
 

@@ -152,7 +152,8 @@ def soft_threshold_vec(z: np.ndarray, t: float) -> np.ndarray:
     return shrink * z
 
 
-def _check_rho_args(t, gamma, family):
+def _rho_args(t, gamma, family):
+    """``t`` checked, as a 1-d float array, and whether it was a scalar."""
     if np.any(np.asarray(t) < 0):
         raise DomainError("penalty argument must be nonnegative")
     if family == "mcp" and not gamma > 1:
@@ -161,14 +162,13 @@ def _check_rho_args(t, gamma, family):
         raise GammaOutOfRange("SCAD requires gamma > 2")
     if family == "bridge" and not 0 < gamma <= 1:
         raise GammaOutOfRange("bridge requires 0 < gamma <= 1")
+    t = np.asarray(t, dtype=float)
+    return np.atleast_1d(t), t.ndim == 0
 
 
 def rho(t, lam, gamma=None, family="l1"):
     """Scalar penalty value; accepts scalars or arrays of t >= 0."""
-    _check_rho_args(t, gamma, family)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    t, scalar = _rho_args(t, gamma, family)
     if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
         out = lam * t
     elif family in ("mcp", "scad"):
@@ -195,10 +195,7 @@ def rho_prime(t, lam, gamma=None, family="l1"):
     ``lam`` may be an array matching ``t`` (one level per entry); the slope
     at a zero level is zero.
     """
-    _check_rho_args(t, gamma, family)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    t, scalar = _rho_args(t, gamma, family)
     if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
         out = np.full_like(t, lam)
     elif family in ("mcp", "scad"):
@@ -318,9 +315,12 @@ def _squared(lam):
 def _mcp(t, lam, gamma):
     # MCP value without the gamma > 1 range check: the derived outer
     # concavity of the composite penalty may legitimately drop below 1.
-    return np.where(
+    out = np.where(
         t <= gamma * lam, lam * t - np.square(t) / (2 * gamma), gamma * _squared(lam) / 2
     )
+    # inf - inf where lam*t and t**2 overflow: t <= gamma*lam puts the value
+    # above lam*t/2, so its limit is inf
+    return np.where(np.isnan(out) & np.isfinite(t), np.inf, out)
 
 
 def _mcp_prime(t, lam, gamma):
@@ -384,7 +384,7 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, g: np.ndarray = Non
     """
     coef = np.asarray(coef, dtype=float).ravel()
     if g is None:
-        g = design.X.T @ (design.y - design.X @ coef) / design.n
+        g = design.gradient(coef)
     fam, lam, dims = pen.family, pen.lam, design.dims
     if fam in TWO_NORM_FAMILIES:
         nb = design.group_l2(coef)

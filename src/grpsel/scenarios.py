@@ -18,7 +18,11 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """What to simulate: a named scenario or a custom grouped model."""
+    """What to simulate: a named scenario or a custom grouped model.
+
+    Construction checks every field; a bad one raises ``ConfigError``, which
+    names the field and its range.
+    """
 
     name: str = "figure1"
     n: int = 100
@@ -29,16 +33,19 @@ class ScenarioSpec:
     beta: tuple = None  # custom only
 
     def __post_init__(self):
-        if self.name not in ("figure1", "figure3", "custom"):
-            raise ConfigError(f"unknown scenario {self.name!r}")
-        if not 0 <= self.correlation < 1:
-            raise ConfigError("correlation must lie in [0, 1)")
-        if self.n < 2:
-            raise ConfigError("need n >= 2")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if self.name == "custom" and (self.group_sizes is None or self.beta is None):
-            raise ConfigError("custom scenarios need group_sizes and beta")
+        custom, sizes, beta = self.name == "custom", self.group_sizes, self.beta
+        for name, ok, rule in (
+            ("name", self.name in ("figure1", "figure3", "custom"), "figure1, figure3 or custom"),
+            ("n", self.n >= 2, "at least 2"),
+            ("sigma", 0 <= self.sigma < math.inf, "finite and >= 0"),
+            ("correlation", 0 <= self.correlation < 1, "in [0, 1)"),
+            ("group_sizes", not custom or sizes and all(
+                d >= 1 and float(d).is_integer() for d in sizes), "integers >= 1 (custom)"),
+            ("beta", not custom or beta is not None and all(map(math.isfinite, beta))
+             and len(beta) == sum(sizes or ()), "finite, one per column (custom)"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -60,10 +67,7 @@ def scenario_truth(spec: ScenarioSpec):
         sizes = [3, 3]
         beta = [1.0, 1.0, 0.0, 0.0, 0.0, -1.0]
     else:
-        sizes = list(spec.group_sizes)
-        beta = list(spec.beta)
-        if sum(sizes) != len(beta):
-            raise ConfigError("group_sizes and beta are inconsistent")
+        sizes, beta = spec.group_sizes, spec.beta
     return np.array(sizes, dtype=int), np.array(beta, dtype=float)
 
 

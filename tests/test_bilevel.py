@@ -164,7 +164,7 @@ class TestFitLcd:
 
     def test_rejects_orthonormalized_design_and_wrong_family(self):
         design, _ = gaussian_design(30, [2, 2], sigma=1.0, seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedFamily, match="orthonormalize=False"):
             fit_lcd(design, PenaltySpec("cmcp", lam=0.1))
         flat, _ = gaussian_design(30, [2, 2], sigma=1.0, seed=6, orthonormalize=False)
         with pytest.raises(UnsupportedFamily):

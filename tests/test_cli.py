@@ -108,15 +108,34 @@ def test_path_files_ordered_and_zero_first(tmp_path, fig3_files):
 
 
 def test_gamma_split_files_equal_single_gamma_runs(tmp_path, fig3_files):
-    both = str(tmp_path / "both")
-    args = ["path", *data_args(fig3_files), "--penalty", "gmcp", "--nlambda", "15"]
-    assert main([*args, "--gamma", "1.2,inf", "--out", both]) == 0
-    for gamma in ("1.2", "inf"):
-        alone = str(tmp_path / gamma)
-        assert main([*args, "--gamma", gamma, "--out", alone]) == 0
-        for kind in ("path", "norms"):
-            split = open(f"{both}_{kind}_gamma{gamma}.csv", "rb").read()
-            assert split == open(f"{alone}_{kind}.csv", "rb").read()
+    # every family but gbridge (below) runs each gamma on the same grid
+    for penalty, gammas in (("gmcp", "1.2,inf"), ("cmcp", "2,3")):
+        both = str(tmp_path / f"{penalty}_both")
+        args = ["path", *data_args(fig3_files), "--penalty", penalty, "--nlambda", "15"]
+        assert main([*args, "--gamma", gammas, "--out", both]) == 0
+        assert not (tmp_path / f"{penalty}_both_path.csv").exists()
+        for gamma in gammas.split(","):
+            alone = str(tmp_path / f"{penalty}_{gamma}")
+            assert main([*args, "--gamma", gamma, "--out", alone]) == 0
+            for kind in ("path", "norms"):
+                split = open(f"{both}_{kind}_gamma{float(gamma)}.csv", "rb").read()
+                assert split == open(f"{alone}_{kind}.csv", "rb").read()
+
+
+def test_bridge_gamma_list_writes_one_file_pair_per_gamma(tmp_path, fig3_files):
+    # a gbridge gamma list shares the first gamma's grid top and d_j**gamma
+    # weights, so its files differ from single-gamma runs; each still holds
+    # one descending path
+    out = str(tmp_path / "bridge")
+    assert main(["path", *data_args(fig3_files), "--penalty", "gbridge", "--gamma", "0.5,0.7",
+                 "--nlambda", "8", "--out", out]) == 0
+    assert not (tmp_path / "bridge_path.csv").exists()
+    for gamma in ("0.5", "0.7"):
+        names, coefs = read_matrix_csv(f"{out}_path_gamma{gamma}.csv")
+        assert names[2] == "gamma" and np.all(coefs[:, 2] == float(gamma))
+        assert coefs.shape[0] == 8 and np.all(np.diff(coefs[:, 0]) < 0)
+        _, norms = read_matrix_csv(f"{out}_norms_gamma{gamma}.csv")
+        assert np.array_equal(norms[:, :3], coefs[:, :3])
 
 
 def test_path_single_family_bridge(tmp_path, fig3_files):
@@ -354,18 +373,23 @@ def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
     ("path", ["--penalty", "sgl", "--lambda2-ratio", "inf"]),
     ("cv", ["--penalty", "sgl", "--lambda2", "-1"]),
     ("cv", ["--tol", "nan"]),
+    ("fit", ["--lambda", "-1"]),
+    ("fit", ["--lambda", "nan"]),
+    ("fit", ["--lambda", "abc"]),
+    ("fit", ["--lambda", "0.1", "--tol", "nan"]),
 ], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1", "folds_above_rows",
         "tol_negative", "tol_nan", "tol_inf", "max_iter_0", "cv_max_iter_negative",
         "fit_max_iter_negative", "lambda2_ratio_negative", "lambda2_ratio_nan",
         "nlambda_above_bound", "nlambda_huge", "cv_nlambda_1", "min_ratio_1",
-        "cv_min_ratio_nan", "lambda2_ratio_inf", "cv_lambda2_negative", "cv_tol_nan"])
+        "cv_min_ratio_nan", "lambda2_ratio_inf", "cv_lambda2_negative", "cv_tol_nan",
+        "fit_lambda_negative", "fit_lambda_nan", "fit_lambda_text", "fit_tol_nan"])
 def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, monkeypatch, command,
                                         flags):
     from grpsel import cli
 
-    if command != "fit" and "--folds" not in flags:
-        # path and cv check every grid setting before they read the data;
-        # --folds is checked against the number of rows, and fit has no grid
+    if "--folds" not in flags:
+        # path and cv check every grid setting, and fit its --lambda and stop
+        # rule, before they read the data; --folds is checked against the rows
         monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
     # a later --penalty replaces the first one
     code = main([command, *data_args(fig3_files), "--penalty", "glasso", *flags,
@@ -373,6 +397,44 @@ def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, monkeypatc
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("command,penalty", [("path", "cmcp"), ("path", "sgl"),
+                                             ("cv", "gbridge")])
+def test_group_lasso_init_is_refused_for_coordinate_wise_families(tmp_path, fig3_files, capsys,
+                                                                  command, penalty):
+    # only a 2-norm fit can start from the group LASSO; the others would ignore the flag
+    code = main([command, *data_args(fig3_files), "--penalty", penalty, "--nlambda", "5",
+                 "--warm-start", "group_lasso_init", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: warm_start group_lasso_init")
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "nan"],
+    ["--sigma", "inf"],
+    ["--sigma", "-1"],
+    ["--scenario", "custom", "--group-sizes", "2,2", "--beta", "1,0,0,nan"],
+    ["--scenario", "custom", "--group-sizes", "0,2", "--beta", "1,1"],
+    ["--scenario", "custom", "--group-sizes", "a,2", "--beta", "1,1,1"],
+    ["--scenario", "custom", "--group-sizes", "2,-1", "--beta", "1"],
+    ["--scenario", "custom", "--group-sizes", "1.5,1", "--beta", "1,1"],
+    ["--scenario", "custom", "--group-sizes", "2,2", "--beta", "1,1,1"],
+    ["--scenario", "custom", "--group-sizes", "2", "--beta", "1,x"],
+    ["--scenario", "custom", "--group-sizes", "", "--beta", "1"],
+    ["--scenario", "custom", "--group-sizes", "2"],
+], ids=["sigma_nan", "sigma_inf", "sigma_negative", "beta_nan", "size_0", "size_text",
+        "size_negative", "size_fraction", "lengths_differ", "beta_text", "sizes_empty",
+        "beta_missing"])
+def test_simulate_refuses_bad_inputs_with_exit_2(tmp_path, capsys, flags):
+    # a NaN or infinite sigma or beta would write a noise-free or non-finite y,
+    # and a zero group size an empty group
+    code = main(["simulate", "--n", "20", *flags, "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cv_refuses_one_fold_before_the_bridge_grid_top_runs(tmp_path, fig3_files, capsys,

@@ -64,6 +64,68 @@ def test_solvers_refuse_a_bad_stop_rule_before_any_cycle(solver, settings, monke
     assert run(tol=0.0, max_iter=1) == 1  # the edges are allowed
 
 
+def _entry_check_cases():
+    orth, _ = gaussian_design(30, [2, 2], beta=[1.0, 0.0, 0.0, 0.0], sigma=0.5, seed=3)
+    flat, _ = gaussian_design(30, [2, 2], beta=[1.0, 0.0, 0.0, 0.0], sigma=0.5, seed=3,
+                              orthonormalize=False)
+
+    def pen(family):
+        return PenaltySpec(family, lam=0.05)
+
+    return {
+        "fit_gcd-standardized": (NotOrthonormalized, lambda: fit_gcd(flat, pen("gmcp"))),
+        "fit_gcd-cmcp": (UnsupportedFamily, lambda: fit_gcd(orth, pen("cmcp"))),
+        "fit_gcd_columns-standardized": (
+            NotOrthonormalized, lambda: fit_gcd_columns(flat, pen("glasso"), flat.y[:, None])),
+        "fit_gcd_columns-sgl": (
+            UnsupportedFamily, lambda: fit_gcd_columns(orth, pen("sgl"), orth.y[:, None])),
+        "fit_lcd-orthonormalized-cmcp": (UnsupportedFamily,
+                                         lambda: fit_lcd(orth, pen("cmcp"))),
+        "fit_lcd-orthonormalized-gbridge": (UnsupportedFamily,
+                                            lambda: fit_lcd(orth, pen("gbridge"))),
+        "fit_lcd-glasso": (UnsupportedFamily, lambda: fit_lcd(flat, pen("glasso"))),
+        "fit_sparse_group_lasso-orthonormalized": (
+            UnsupportedFamily, lambda: fit_sparse_group_lasso(orth, 0.05, 0.05)),
+        "fit_lcd-gbridge-bad-tol": (ConfigError,
+                                    lambda: fit_lcd(flat, pen("gbridge"), tol=math.nan)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_entry_check_cases()))
+def test_solvers_refuse_a_wrong_design_or_family_before_any_work(case, monkeypatch):
+    # one entry check serves every solver: the family, the design kind the
+    # family needs and the stop rule, all before the first gradient (and, for
+    # gbridge, before its least squares start)
+    from grpsel import bilevel
+
+    error, run = _entry_check_cases()[case]
+    monkeypatch.setattr(GroupedDesign, "gradient", lambda *a: pytest.fail("a descent began"))
+    monkeypatch.setattr(bilevel, "least_squares_init", lambda *a: pytest.fail("work began"))
+    with pytest.raises(error) as caught:
+        run()
+    if "-orthonormalized" in case:  # a coordinate-wise family names the design it needs
+        assert "orthonormalize=False" in str(caught.value)
+
+
+@pytest.mark.parametrize("kind", ["zero", "sparse", "dense"])
+def test_gradient_is_the_loss_gradient_bit_for_bit(kind):
+    # the solvers' loss gradient X'(y - Xb)/n, with and without the shortcut
+    # for an all-zero b, gives the same bits for a vector and a matrix of columns
+    design, _ = gaussian_design(40, [2, 3, 3], sigma=0.7, seed=12)
+    rng = np.random.default_rng(13)
+    B = {"zero": np.zeros((8, 3)), "dense": rng.standard_normal((8, 3)),
+         "sparse": np.where(rng.random((8, 3)) < 0.3, rng.standard_normal((8, 3)), 0.0)}[kind]
+    Y = design.y[:, None] + rng.standard_normal((40, 3))
+    X, n = design.X, design.n
+    b = B[:, 0]
+    got = design.gradient(b)
+    assert np.array_equal(got, X.T @ (design.y - X @ b if np.any(b) else design.y) / n)
+    assert np.array_equal(got, X.T @ (design.y - X @ b) / n)
+    got = design.gradient(B, Y)
+    assert np.array_equal(got, X.T @ (Y - X @ B if B.any() else Y) / n)
+    assert np.array_equal(got, X.T @ (Y - X @ B) / n)
+
+
 def _hand_design():
     # one group of two, X = sqrt(2)*I at n=2, chosen so X'y/n = (3, 4)
     X = math.sqrt(2.0) * np.eye(2)

@@ -127,3 +127,20 @@ def test_path_config_refuses_bad_solver_settings(settings):
     PathConfig(n_lambda=2, lambda_min_ratio=5e-324, gamma_grid=(1.2, math.inf), tol=0.0,
                max_iter=1, sgl_lambda2_ratio=0.0, sgl_lambda2=0.0)
     PathConfig(n_lambda=MAX_N_LAMBDA, warm_start="group_lasso_init")
+
+
+@pytest.mark.parametrize("family", ["gbridge", "cmcp", "sgl"])
+def test_group_lasso_init_is_refused_for_coordinate_wise_families(family, monkeypatch):
+    # the group LASSO start exists only for the 2-norm families; the others
+    # would ignore it and fit the previous_lambda path
+    from grpsel import bilevel, paths
+
+    design, _ = gaussian_design(40, [2, 2], sigma=0.5, seed=4, beta=[1.0, 0.0, 0.0, -0.5],
+                                orthonormalize=False)
+    monkeypatch.setattr(paths, "_chain", lambda *args, **kw: pytest.fail("a fit ran"))
+    monkeypatch.setattr(bilevel, "bridge_lambda_upper", lambda *a: pytest.fail("a fit ran"))
+    config = PathConfig(n_lambda=5, warm_start="group_lasso_init")
+    with pytest.raises(ConfigError, match=f"group_lasso_init .* not {family}"):
+        solution_path(design, PenaltySpec(family, lam=0.0), config)
+    with pytest.raises(ConfigError, match=f"group_lasso_init .* not {family}"):
+        kfold_cv(design, PenaltySpec(family, lam=0.0), config, K=3, seed=0)

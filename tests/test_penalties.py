@@ -443,6 +443,26 @@ def test_rho_at_a_huge_level_takes_its_limits_without_warning(family, lam):
     assert slopes.tolist() == [lam, slope, lam]
 
 
+def test_mcp_value_where_both_terms_overflow_is_inf():
+    # lam*t and t**2 both overflow at t = 1e200, lam = 1.7e308, making the first
+    # branch inf - inf = NaN; t <= gamma*lam makes the value at least
+    # lam*t/2, whose limit is inf.  Finite values keep their bits.
+    t = np.array([1e200, 0.0, 1.0, 1e150, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho(1e200, 1.7e308, 3.0, "mcp") == math.inf
+        values = rho(t, 1.7e308, 3.0, "mcp")
+        moderate = rho(np.array([0.5, 2.0, 4.0]), 1.3, 2.7, "mcp")
+    assert values.tolist() == [math.inf, 0.0, 1.7e308, math.inf, math.inf]
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.where(t <= 3.0 * 1.7e308, 1.7e308 * t - np.square(t) / 6.0, math.inf)
+    finite = np.isfinite(raw)
+    assert np.array_equal(values[finite], raw[finite])
+    t = np.array([0.5, 2.0, 4.0])
+    expected = np.where(t <= 2.7 * 1.3, 1.3 * t - np.square(t) / 5.4, 2.7 * 1.3**2 / 2)
+    assert np.array_equal(moderate, expected)
+
+
 def _stationarity_oracle(design, pen, coef):
     if pen.family in TWO_NORM_FAMILIES:
         return kkt_reference(design, pen, coef)
