@@ -28,7 +28,7 @@ from .design import build_design, group_norms
 from .errors import (ConfigError, FoldTooSmall, GammaOutOfRange, GrpselError, NonFiniteInput,
                      ParseError)
 from .gcd import check_stop_rule
-from .paths import FAMILIES, GAMMALESS, MAX_N_LAMBDA, WARM_STARTS, PathConfig, solution_path
+from .paths import FAMILIES, MAX_N_LAMBDA, WARM_STARTS, PathConfig, solution_path
 from .penalties import TWO_NORM_FAMILIES, PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
@@ -181,19 +181,11 @@ def _penalty(args):
     """The command's gamma list and penalty template, checked before any data
     is read, and the name of its grid's second column (``lambda2`` for sgl)."""
     gammas = _parse_numbers(args.gamma, "--gamma")
-    if gammas and args.penalty in GAMMALESS:
-        raise ConfigError(f"--penalty {args.penalty} has no gamma; drop --gamma")
-    try:
-        if args.penalty == "sgl":
-            pen = PenaltySpec("sgl", lam=0.0, lam2=args.lambda2 or 0.0)
-        else:
-            pen = PenaltySpec(args.penalty, lam=0.0)
-            # every listed gamma is checked before any data is read
-            checked = [pen.with_gamma(g) for g in gammas or ()]
-            pen = checked[0] if checked else pen
+    try:  # every listed gamma is checked; each message starts with the family
+        pen = PenaltySpec(args.penalty, lam=0.0, lam2=args.lambda2 or 0.0)
+        pen = ([pen.with_gamma(g) for g in gammas or ()] or [pen])[0]
     except (ValueError, GammaOutOfRange) as exc:
-        flag = "--lambda2" if args.penalty == "sgl" else "--gamma"
-        raise ConfigError(f"bad {flag} value: {exc}") from None
+        raise ConfigError(f"--penalty {exc}") from None
     return gammas, pen, "lambda2" if pen.family == "sgl" else "gamma"
 
 
@@ -407,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--penalty", required=True, choices=list(FAMILIES))
         p.add_argument("--gamma", default=None,
                        help="concavity parameter (path, cv: a comma list); 'inf' "
-                            "allowed; not for glasso or sgl")
+                            "allowed; refused by a family without one")
         p.add_argument("--lambda2", type=float, default=None,
                        help="sgl group-level penalty")
         p.add_argument("--weights", default="sqrt", choices=["sqrt", "pow", "file"])

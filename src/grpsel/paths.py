@@ -27,7 +27,6 @@ __all__ = ["FAMILIES", "Family", "PathConfig", "fit_grid", "fit_path", "fit_path
 
 WARM_STARTS = ("previous_lambda", "group_lasso_init")
 MAX_N_LAMBDA = 10_000  # a larger grid is a mistake: every point is a fit, per gamma and fold
-GAMMALESS = ("glasso", "sgl")  # families without a gamma to vary
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,10 @@ FAMILIES = {
 class PathConfig:
     """Grid and solver settings shared by path fits and cross-validation.
 
-    ``gamma_grid`` applies to every family but glasso and sgl, which
-    refuse one; ``None`` means the single value carried by the penalty
-    spec.  For the sgl family the group-level parameter follows the grid as
+    ``gamma_grid`` sets each family's shape parameter through
+    ``PenaltySpec.with_gamma``, which refuses it for a family without one;
+    ``None`` means the single value carried by the penalty spec.  For the
+    sgl family the group-level parameter follows the grid as
     ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
     Construction checks every field, the stop rule by ``gcd.check_stop_rule``;
     a bad one raises ``ConfigError``, which names the field and its range.
@@ -137,9 +137,7 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
                           f"only, not {name}")
     if config.gamma_grid is None:
         pens = [pen_template]
-    elif name in GAMMALESS:
-        raise ConfigError(f"{name} has no gamma to vary; gamma_grid must be None")
-    else:
+    else:  # a family without a gamma refuses one
         pens = [pen_template.with_gamma(g) for g in config.gamma_grid]
     start = least_squares_init(design) if family.ascending else np.zeros(design.p)
     if lambdas is not None:
@@ -164,8 +162,8 @@ def solution_path(
     With ``group_lasso_init`` every fit of a 2-norm family starts instead
     from the group LASSO solution at the same lambda (itself a chained
     path).  ``grid`` holds (lam, gamma) pairs, (lam1, lam2) for sgl.
-    Non-converged points are recorded, not raised; a ``gamma_grid`` for
-    glasso or sgl, or ``group_lasso_init`` for a family outside
+    Non-converged points are recorded, not raised; a ``gamma_grid`` for a
+    family without a gamma, or ``group_lasso_init`` for a family outside
     ``TWO_NORM_FAMILIES``, raises ``ConfigError``.
     """
     return fit_grid(design, config, *path_grid(design, pen_template, config, lambdas))

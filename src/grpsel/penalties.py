@@ -29,18 +29,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, GammaOutOfRange, UnsupportedFamily
+from .errors import ConfigError, DomainError, GammaOutOfRange, UnsupportedFamily
 
 FAMILIES = ("glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl")
 TWO_NORM_FAMILIES = ("glasso", "gmcp", "gscad")  # penalties of each group's 2-norm
 
-_DEFAULT_GAMMA = {
-    "glasso": math.inf,
-    "gmcp": 2.7,
-    "gscad": 3.7,
-    "gbridge": 0.5,
-    "sgl": math.inf,
-    "cmcp": math.inf,
+# The families with a shape parameter: the field that holds it, its default
+# and its range.  glasso and sgl have none.
+_SHAPES = {
+    "gmcp": ("gamma", 2.7, "gamma > 1", lambda g: g > 1),
+    "gscad": ("gamma", 3.7, "gamma > 2", lambda g: g > 2),
+    "gbridge": ("gamma", 0.5, "0 < gamma < 1", lambda g: 0 < g < 1),
+    "cmcp": ("gamma_inner", 2.7, "finite gamma_inner > 1", lambda g: 1 < g < math.inf),
 }
 
 # Below this group 1-norm the bridge tangent slope is effectively unbounded
@@ -56,14 +56,16 @@ _TIE_EPS = 4 * float(np.finfo(float).eps)
 class PenaltySpec:
     """Penalty family plus its tuning parameters.
 
-    ``lam`` is the main regularization level.  ``gamma`` is the concavity
-    parameter (ignored by ``glasso`` and ``sgl``; ``math.inf`` is a valid
-    sentinel for ``gmcp``/``gscad`` and routes them to the group LASSO
-    kernel exactly).  ``lam2`` is the group-norm level of ``sgl``, with
-    ``lam`` serving as its coordinate-wise level; both levels must be
-    finite and nonnegative.  ``gamma_inner`` is the inner MCP concavity of
-    ``cmcp``; the outer concavity is derived per group as
-    ``d_j * gamma_inner * lam / 2`` and never stored.
+    ``lam`` is the main regularization level.  Each family takes only its own
+    parameters and refuses the rest with ``ConfigError``: ``gamma``, the
+    concavity of ``gmcp`` (> 1), ``gscad`` (> 2) and ``gbridge`` (in (0, 1));
+    ``gamma_inner``, the inner MCP concavity of ``cmcp`` (finite, > 1), whose
+    outer concavity is derived per group as ``d_j * gamma_inner * lam / 2``
+    and never stored; ``lam2``, the group-norm level of ``sgl``, with ``lam``
+    serving as its coordinate-wise level.  ``gamma`` reads ``math.inf`` for
+    the families without one, which may pass that value; for ``gmcp`` and
+    ``gscad`` it routes them to the group LASSO kernel exactly.  Both levels
+    must be finite and nonnegative.
     """
 
     family: str
@@ -73,47 +75,43 @@ class PenaltySpec:
     gamma_inner: float = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnsupportedFamily(f"unknown penalty family {self.family!r}")
+        fam = self.family
+        if fam not in FAMILIES:
+            raise UnsupportedFamily(f"unknown penalty family {fam!r}")
         if not (0 <= self.lam < math.inf and 0 <= self.lam2 < math.inf):
-            raise ValueError("penalty levels must be finite and nonnegative")
-        if self.lam2 > 0 and self.family != "sgl":
-            raise ValueError("lam2 applies to the sgl family only")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", _DEFAULT_GAMMA[self.family])
-        if self.family == "cmcp":
-            if self.gamma_inner is None:
-                object.__setattr__(self, "gamma_inner", 2.7)
-            if not self.gamma_inner > 1 or math.isinf(self.gamma_inner):
-                raise GammaOutOfRange("cmcp requires finite gamma_inner > 1")
-            # the outer gamma*lam of a one-column group; the slopes divide by it
-            if self.lam > 0 and self.gamma_inner * self.lam / 2 * self.lam == 0:
-                raise ValueError(f"cmcp lam {self.lam!r} is so small that "
-                                 "gamma_inner * lam**2 / 2 underflows to 0")
-        elif self.gamma_inner is not None:
-            raise ValueError("gamma_inner applies to the cmcp family only")
-        g = self.gamma
-        if self.family == "gmcp" and not g > 1:
-            raise GammaOutOfRange("MCP requires gamma > 1")
-        if self.family == "gscad" and not g > 2:
-            raise GammaOutOfRange("SCAD requires gamma > 2")
-        if self.family == "gbridge" and not 0 < g < 1:
-            raise GammaOutOfRange("bridge requires 0 < gamma < 1")
+            raise ValueError(f"{fam} levels must be finite and nonnegative, not "
+                             f"lam={self.lam!r}, lam2={self.lam2!r}")
+        shape = _SHAPES.get(fam)
+        takes = (shape[0] if shape else None, "lam2" if fam == "sgl" else None)
+        for name, unset in (("gamma", math.inf), ("gamma_inner", None), ("lam2", 0.0)):
+            if name not in takes and getattr(self, name) not in (None, unset):
+                raise ConfigError(f"{fam} has no {name}")
+        if shape:
+            field, default, rule, ok = shape
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, default)
+            if not ok(getattr(self, field)):
+                raise GammaOutOfRange(f"{fam} requires {rule}, not {getattr(self, field)!r}")
+        if self.gamma is None:  # a family without one
+            object.__setattr__(self, "gamma", math.inf)
+        # the outer gamma*lam of a one-column cmcp group; the slopes divide by it
+        if fam == "cmcp" and self.lam > 0 and self.gamma_inner * self.lam / 2 * self.lam == 0:
+            raise ValueError(f"cmcp lam {self.lam!r} is so small that "
+                             "gamma_inner * lam**2 / 2 underflows to 0")
 
     def with_lam(self, lam: float, lam2: float = None) -> "PenaltySpec":
-        if lam2 is None:
-            lam2 = self.lam2 if self.family == "sgl" else 0.0
-        return replace(self, lam=float(lam), lam2=float(lam2))
+        return replace(self, lam=float(lam), lam2=float(self.lam2 if lam2 is None else lam2))
 
     def with_gamma(self, gamma: float) -> "PenaltySpec":
-        if self.family == "cmcp":
-            return replace(self, gamma_inner=float(gamma))
-        return replace(self, gamma=float(gamma))
+        """The spec with its shape parameter (``gamma_inner`` for cmcp) set to ``gamma``."""
+        if self.family not in _SHAPES:
+            raise ConfigError(f"{self.family} has no gamma")
+        return replace(self, **{_SHAPES[self.family][0]: float(gamma)})
 
     @property
     def shape_param(self) -> float:
-        """The family's free concavity parameter (gamma_inner for cmcp)."""
-        return self.gamma_inner if self.family == "cmcp" else self.gamma
+        """The family's free concavity parameter (gamma_inner for cmcp, inf without one)."""
+        return getattr(self, _SHAPES[self.family][0]) if self.family in _SHAPES else self.gamma
 
 
 def soft_threshold(z, t):
@@ -315,11 +313,13 @@ def _squared(lam):
 def _mcp(t, lam, gamma):
     # MCP value without the gamma > 1 range check: the derived outer
     # concavity of the composite penalty may legitimately drop below 1.
-    out = np.where(
-        t <= gamma * lam, lam * t - np.square(t) / (2 * gamma), gamma * _squared(lam) / 2
-    )
-    # inf - inf where lam*t and t**2 overflow: t <= gamma*lam puts the value
-    # above lam*t/2, so its limit is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rising = lam * t - np.square(t) / (2 * gamma)
+        # where lam*t or t**2 overflows, the factored form may still be finite
+        rising = np.where(np.isfinite(rising), rising, t * (lam - t / (2 * gamma)))
+        out = np.where(t <= gamma * lam, rising, gamma * _squared(lam) / 2)
+    # a NaN left (an infinite lam: inf - inf) is inf: t <= gamma*lam puts the
+    # value above lam*t/2
     return np.where(np.isnan(out) & np.isfinite(t), np.inf, out)
 
 
@@ -364,10 +364,8 @@ def objective(design, coef: np.ndarray, pen: PenaltySpec, r: np.ndarray = None) 
             with np.errstate(over="ignore"):  # a huge lam: the saturated levels are inf
                 inner = design.group_sums(_mcp(np.abs(coef), lam, pen.gamma_inner))
                 penalty = _mcp(inner, lam, design.dims * pen.gamma_inner * lam / 2)
-    elif fam == "sgl":
+    else:  # sgl
         penalty = lam * design.group_sums(np.abs(coef)) + pen.lam2 * design.group_l2(coef)
-    else:
-        raise UnsupportedFamily(f"unknown penalty family {fam!r}")
     return 0.5 * float(r @ r) / design.n + float(np.sum(penalty))
 
 
@@ -404,8 +402,6 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, g: np.ndarray = Non
         skip = nb == 0.0  # a zero group is checked at the group level only
         w, shift = lam, pen.lam2 * coef / np.repeat(np.where(skip, 1.0, nb), dims)
         levels = np.maximum(design.group_l2(soft_threshold(g, lam)) - pen.lam2, 0.0)[skip]
-    elif fam not in ("cmcp", "gbridge"):
-        raise UnsupportedFamily(f"unknown penalty family {fam!r}")
     elif lam == 0:
         w = np.zeros_like(coef)
     elif fam == "cmcp":
@@ -414,7 +410,7 @@ def stationarity(design, pen: PenaltySpec, coef: np.ndarray, g: np.ndarray = Non
             outer = _mcp_prime(design.group_sums(_mcp(abs_b, lam, gi)), lam,
                                dims * gi * lam / 2)
             w = np.repeat(outer, dims) * _mcp_prime(abs_b, lam, gi)
-    else:
+    else:  # gbridge
         l1 = design.group_sums(np.abs(coef))
         skip |= l1 < BRIDGE_FREEZE_TOL
         w = np.repeat(rho_prime(np.where(skip, 1.0, l1), group_levels(design, lam), pen.gamma,

@@ -87,14 +87,13 @@ def make_scenario(spec: ScenarioSpec) -> SimulatedData:
     p = int(sizes.sum())
     rng = np.random.default_rng(spec.seed)
     X = equicorrelated_columns(spec.n, p, spec.correlation, rng)
-    y = X @ beta
-    if spec.sigma > 0:
-        y = y + spec.sigma * rng.standard_normal(spec.n)
-    support = tuple(
-        j
-        for j in range(len(sizes))
-        if np.linalg.norm(beta[labels == j]) > 0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = X @ beta
+        if spec.sigma > 0:
+            y = y + spec.sigma * rng.standard_normal(spec.n)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"beta {spec.beta!r} gives a response that is not finite")
+    support = tuple(j for j in range(len(sizes)) if np.any(beta[labels == j] != 0))
     names = [f"g{j}_{k}" for j, d in enumerate(sizes) for k in range(d)]
     return SimulatedData(
         X=X, y=y, labels=labels, beta_true=beta, support=support, column_names=names

@@ -392,10 +392,13 @@ def monte_carlo_theorem1(
     n, sig = design.n, problem.sigma
     s = len(problem.support)
 
+    gap = problem.beta_star - gamma * lam
     conditions = {
         "gamma_gt_inv_cmin": problem.c_min > 0 and gamma > 1 / problem.c_min,
         "beta_star_gt_gamma_lam": problem.beta_star > gamma * lam,
         "n_lam2_gt_sigma2": n * lam**2 > sig**2,
+        # eta_bounds' test for eta2, which is 0 without a support (c1 is then nan)
+        "c1_n_gap2_gt_sigma2": s == 0 or problem.c1 * n * gap**2 / sig**2 > 1,
     }
     values = {
         "gamma": gamma,

@@ -437,6 +437,17 @@ def test_simulate_refuses_bad_inputs_with_exit_2(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_refuses_a_response_that_overflows_with_exit_2(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--scenario", "custom", "--group-sizes", "2",
+                     "--beta", "1e308,1e308", "--n", "40", "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta") and "not finite" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cv_refuses_one_fold_before_the_bridge_grid_top_runs(tmp_path, fig3_files, capsys,
                                                             monkeypatch):
     from grpsel import bilevel

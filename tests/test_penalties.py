@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpsel.bilevel import lcd_stationarity, sgl_kkt
-from grpsel.errors import DomainError, GammaOutOfRange, UnsupportedFamily
+from grpsel.cli import _load_design, build_parser, main, read_matrix_csv
+from grpsel.errors import ConfigError, DomainError, GammaOutOfRange, UnsupportedFamily
 from grpsel.gcd import kkt_check
+from grpsel.paths import FAMILIES as FITS
 from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import (
     _TIE_EPS,
@@ -86,6 +88,68 @@ class TestPenaltySpec:
     def test_inf_gamma_sentinel_accepted(self):
         PenaltySpec("gmcp", 0.1, gamma=math.inf)
         PenaltySpec("gscad", 0.1, gamma=math.inf)
+
+
+# family: its shape field, that field's default, values inside its range and
+# values outside it (None: the family has no shape parameter)
+SHAPES = {
+    "glasso": (None, None, (), ()),
+    "gmcp": ("gamma", 2.7, (1 + 1e-12, 3.0, math.inf), (1.0, 0.5, -1.0, math.nan)),
+    "gscad": ("gamma", 3.7, (2 + 1e-12, 3.0, math.inf), (2.0, 1.5, math.nan)),
+    "gbridge": ("gamma", 0.5, (1e-9, 0.5, 1 - 1e-12), (0.0, 1.0, 3.0, math.inf, math.nan)),
+    "cmcp": ("gamma_inner", 2.7, (1 + 1e-12, 3.0, 1e300), (1.0, 0.5, math.inf, math.nan)),
+    "sgl": (None, None, (), ()),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_takes_its_own_parameters_and_refuses_the_rest(family, tmp_path):
+    field, default, inside, outside = SHAPES[family]
+    pen = PenaltySpec(family, 0.1)
+    assert pen.gamma == (default if field == "gamma" else math.inf)
+    assert pen.shape_param == (default if field else math.inf)
+    if field:
+        assert getattr(pen, field) == default
+    for value in inside:  # set directly or through with_gamma (gamma_inner for cmcp)
+        for spec in (PenaltySpec(family, 0.1, **{field: value}), pen.with_gamma(value)):
+            assert getattr(spec, field) == value and spec.shape_param == value
+    for value in outside:
+        with pytest.raises(GammaOutOfRange, match=f"^{family} requires"):
+            PenaltySpec(family, 0.1, **{field: value})
+        with pytest.raises(GammaOutOfRange, match=f"^{family} requires"):
+            pen.with_gamma(value)
+
+    takes = (field, "lam2" if family == "sgl" else None)
+    for name, value in (("gamma", 3.0), ("gamma", 0.5), ("gamma", math.nan),
+                        ("gamma_inner", 3.0), ("gamma_inner", math.inf), ("lam2", 0.2)):
+        if name not in takes:
+            with pytest.raises(ConfigError, match=f"^{family} has no {name}$"):
+                PenaltySpec(family, 0.1, **{name: value})
+    if family == "sgl":
+        assert PenaltySpec(family, 0.1, lam2=0.2).with_lam(0.3).lam2 == 0.2
+    if field != "gamma":  # inf is the value gamma reads without one
+        assert PenaltySpec(family, 0.1, gamma=math.inf) == pen
+    if field is None:
+        for value in (2.7, math.inf):
+            with pytest.raises(ConfigError, match=f"^{family} has no gamma$"):
+                pen.with_gamma(value)
+
+    # the command line sets the same field from --gamma, or refuses it
+    prefix, out = str(tmp_path / "d"), str(tmp_path / "fit")
+    assert main(["simulate", "--scenario", "figure3", "--n", "60", "--seed", "2",
+                 "--out", prefix]) == 0
+    argv = ["fit", "--x", prefix + "_X.csv", "--y", prefix + "_y.csv",
+            "--groups", prefix + "_groups.csv", "--penalty", family, "--gamma", "3",
+            "--lambda", "0.05", "--out", out]
+    if 3.0 not in inside:
+        assert main(argv) == 2
+        assert list(tmp_path.glob("fit*")) == []
+        return
+    assert main(argv) == 0
+    spec = PenaltySpec(family, 0.05, **{field: 3.0})
+    fit = FITS[family].fit(_load_design(build_parser().parse_args(argv), spec)[1], spec)
+    _, row = read_matrix_csv(out + "_coef.csv")
+    assert row[0, 1] == 3.0 and np.array_equal(row[0, 2:], fit.beta)
 
 
 class TestSoftThresholdVec:
@@ -405,28 +469,6 @@ def test_scalar_soft_threshold_matches_array_path(z, t, tie):
     assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
-def test_objective_rejects_unknown_family():
-    from types import SimpleNamespace
-
-    from grpsel.penalties import objective
-
-    design, _ = gaussian_design(20, [2], sigma=1.0, seed=0)
-    fake = SimpleNamespace(family="mystery", lam=0.1, gamma=2.0, lam2=0.0,
-                           gamma_inner=None)
-    with pytest.raises(UnsupportedFamily):
-        objective(design, np.zeros(2), fake)
-
-
-def test_stationarity_rejects_unknown_family():
-    from types import SimpleNamespace
-
-    design, _ = gaussian_design(20, [2], sigma=1.0, seed=0)
-    fake = SimpleNamespace(family="mystery", lam=0.1, gamma=2.0, lam2=0.0,
-                           gamma_inner=None)
-    with pytest.raises(UnsupportedFamily):
-        stationarity(design, fake, np.zeros(2))
-
-
 @pytest.mark.parametrize("family", ["mcp", "scad"])
 @pytest.mark.parametrize("lam", [1e200, 1.7e308])
 def test_rho_at_a_huge_level_takes_its_limits_without_warning(family, lam):
@@ -461,6 +503,23 @@ def test_mcp_value_where_both_terms_overflow_is_inf():
     t = np.array([0.5, 2.0, 4.0])
     expected = np.where(t <= 2.7 * 1.3, 1.3 * t - np.square(t) / 5.4, 2.7 * 1.3**2 / 2)
     assert np.array_equal(moderate, expected)
+
+
+def test_mcp_value_where_only_the_square_overflows_is_finite():
+    # t = 1e155 <= gamma*lam: lam*t = 1e300 is finite but t**2 overflows, so
+    # lam*t - t**2/(2*gamma) would be -inf; the value t*(lam - t/(2*gamma))
+    # is 5e299.  Finite values keep their bits.
+    t = np.array([1e155, 0.0, 1e140, 1e150, 2e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho(1e155, 1e145, 1e10, "mcp") == pytest.approx(5e299, rel=1e-15)
+        values = rho(t, 1e145, 1e10, "mcp")
+    assert np.all(np.isfinite(values)) and values[0] == pytest.approx(5e299, rel=1e-15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.where(t <= 1e10 * 1e145, 1e145 * t - np.square(t) / 2e10, 1e10 * 1e290 / 2)
+    finite = np.isfinite(raw)
+    assert finite.tolist() == [False, True, True, True, True]
+    assert np.array_equal(values[finite], raw[finite])
 
 
 def _stationarity_oracle(design, pen, coef):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,3 +58,16 @@ def test_custom_scenario_and_validation():
         ScenarioSpec(name="unknown")
     with pytest.raises(ConfigError):
         make_scenario(ScenarioSpec(name="custom", group_sizes=(2,), beta=(1.0,)))
+
+
+def test_custom_scenario_refuses_a_response_that_overflows():
+    # finite coefficients whose products with X overflow would give an inf y
+    spec = ScenarioSpec(name="custom", n=40, group_sizes=(2,), beta=(1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="not finite"):
+            make_scenario(spec)
+        # a response that stays finite, from a beta whose norm overflows
+        data = make_scenario(ScenarioSpec(name="custom", n=40, group_sizes=(2, 1),
+                                          beta=(1e200, 1e200, 0.0)))
+    assert np.all(np.isfinite(data.y)) and data.support == (0,)

@@ -401,6 +401,22 @@ class TestRunExperiment:
         assert rep["pass"] is None
 
 
+    def test_theorem1_gap_too_small_for_eta2_reports_condition(self):
+        # c1*n*(beta_star - gamma*lam)**2 <= sigma**2: eta_bounds refuses, so
+        # the bound is inf, and the report must not read PASS
+        rep = run_experiment({"experiment": "theorem1",
+                              "params": {"beta_star": 1.25, "reps": 50}})
+        assert rep["bound_total"] == math.inf
+        assert rep["conditions"] == {"gamma_gt_inv_cmin": True, "beta_star_gt_gamma_lam": True,
+                                     "n_lam2_gt_sigma2": True, "c1_n_gap2_gt_sigma2": False}
+        assert rep["status"] == "CONDITION_VIOLATED"
+        assert rep["pass"] is None
+        # no support: no eta2 and no such hypothesis
+        problem = random_problem(40, [2, 2], support=[], beta_star=1.0, sigma=0.1, seed=1)
+        report = monte_carlo_theorem1(problem, lam=0.1, gamma=3.0, reps=5, seed=1)
+        assert report.conditions["c1_n_gap2_gt_sigma2"] and report.eta2 == 0.0
+
+
 def test_make_oracle_problem_derived_quantities():
     design, _ = gaussian_design(100, [2, 3], sigma=1.0, seed=21)
     coef = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
