@@ -99,11 +99,14 @@ def _forked_map(fn, n_jobs: int) -> list:
     finally:
         for pid, read_end, first in children:
             with os.fdopen(read_end, "rb") as pipe:
-                data = pipe.read()
+                try:  # unpickled as it is read: the pickle's bytes are never held whole
+                    shared = pickle.load(pipe)
+                except Exception as exc:  # cut short (a dead child) or not loadable
+                    shared = [(first, exc, None)]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             lost = GrpselError(f"cross-validation folds {[*range(first, n_jobs, w)]} lost: "
                                f"their process ended with returncode {status}")
-            outcomes += pickle.loads(data) if status == 0 else [(first, lost, None)]
+            outcomes += shared if status == 0 else [(first, lost, None)]
     failed = [(j, exc) for j, exc, _ in outcomes if exc is not None]
     if failed:
         raise min(failed, key=lambda failure: failure[0])[1]

@@ -167,23 +167,26 @@ def _rho_args(t, gamma, family):
 def rho(t, lam, gamma=None, family="l1"):
     """Scalar penalty value; accepts scalars or arrays of t >= 0."""
     t, scalar = _rho_args(t, gamma, family)
-    if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
-        out = lam * t
-    elif family in ("mcp", "scad"):
-        # a huge lam overflows gamma * lam and the saturated value to inf, their
-        # limits; np.where drops the branch that is not taken (scad: NaN at t = 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if family == "mcp":
-                out = _mcp(t, lam, gamma)
-            else:
-                lam_sq = _squared(lam)
-                inner = np.where(t <= lam, lam * t,
-                                 (2 * gamma * lam * t - t**2 - lam_sq) / (2 * (gamma - 1)))
-                out = np.where(t <= gamma * lam, inner, lam_sq * (gamma + 1) / 2)
-    elif family == "bridge":
-        out = lam * t**gamma
-    else:
-        raise UnsupportedFamily(f"unknown scalar penalty family {family!r}")
+    # a huge lam overflows gamma * lam and the saturated value to inf, their
+    # limits; np.where drops the branch that is not taken (scad: NaN at t = 0),
+    # and an infinite lam times t = 0 is NaN until t = 0 is given its value
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family == "l1" or (family in ("mcp", "scad") and math.isinf(gamma)):
+            out = lam * t
+        elif family == "mcp":
+            out = _mcp(t, lam, gamma)
+        elif family == "scad":
+            lam_sq = _squared(lam)
+            inner = np.where(t <= lam, lam * t,
+                             (2 * gamma * lam * t - t**2 - lam_sq) / (2 * (gamma - 1)))
+            out = np.where(t <= gamma * lam, inner, lam_sq * (gamma + 1) / 2)
+        elif family == "bridge":
+            out = lam * t**gamma
+        else:
+            raise UnsupportedFamily(f"unknown scalar penalty family {family!r}")
+    # a zero argument has penalty zero at every level; at a finite level this
+    # is already the value (t itself, so a -0.0 keeps its sign)
+    out = np.where(t == 0, t, out)
     return float(out[0]) if scalar else out
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,9 @@ def accepted_extrapolations(design, pen, calls):
 
     return [(window, point) for window, point in calls if point is not None
             and objective(design, point, pen) < objective(design, window[-1], pen)]
+
+
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

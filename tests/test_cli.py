@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from grpsel import cli, cv
 from grpsel.cli import main, read_groups_csv, read_matrix_csv, read_vector_csv, write_csv
 
+from conftest import assert_no_child
 from oracles import fmt_reference
 
 
@@ -322,6 +328,20 @@ def test_readers_parse_with_numpy(tmp_path):
     assert read_vector_csv(write("y3.csv", "y,z\n1,9\n2\n")).tolist() == [1.0, 2.0]
 
 
+READ_WORKERS = (1, 2, 3)
+
+
+def read_with_workers(monkeypatch, path, workers, job_bytes=1):
+    """``read_matrix_csv(path)`` with ``workers`` CPUs and ``job_bytes`` per job."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cv, "_cpu_count", lambda: workers)
+        patch.setattr(cli, "_READ_JOB_BYTES", job_bytes)
+        try:
+            return read_matrix_csv(str(path))
+        finally:
+            assert_no_child()
+
+
 @pytest.mark.parametrize("flag,text,message", [
     ("--x", "", "no data rows"),
     ("--x", "a,b\n", "no data rows"),
@@ -332,10 +352,16 @@ def test_readers_parse_with_numpy(tmp_path):
     ("--x", "a,b\n1_000,2\n", "'1_000'"),
     ("--y", "y\n", "no data rows"),
     ("--y", "y\n1\nabc\n", "'abc'"),
+    # with one-byte jobs, 2 and 3 workers cut this body after "3,4\n", so the
+    # ragged row lands in the second block (with 3, a block of its own)
+    ("--x", "a,b\n1,2\n3,4\n5,6\n7\n", "from 2 to 1 at row 4"),
+    # 2 and 3 workers cut after the newline inside the quotes
+    ("--x", 'a,b\n1,2\n3,"4\n5"\n', "'4\\n5' to float64 at row 1, column 2"),
 ], ids=["empty", "header_only", "ragged_row", "header_row_mismatch", "hash_cell",
         "non_numeric_cell", "underscore_cell", "response_header_only",
-        "response_non_numeric_cell"])
-def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
+        "response_non_numeric_cell", "ragged_row_in_second_block",
+        "quoted_newline_across_a_cut"])
+def test_malformed_data_csv_exits_2(tmp_path, capsys, monkeypatch, flag, text, message):
     files = {"--x": "a,b\n1,2\n3,5\n", "--y": "y\n1\n2\n",
              "--groups": "column_name,group_id\na,0\nb,0\n"}
     files[flag] = text
@@ -344,11 +370,111 @@ def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
         path = tmp_path / (option[2:] + ".csv")
         path.write_text(content)
         args += [option, str(path)]
-    code = main(["fit", *args, "--penalty", "glasso", "--lambda", "0.1",
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
+    errors = set()
+    # the predictor file's body is parsed in one-byte jobs: one per worker
+    monkeypatch.setattr(cli, "_READ_JOB_BYTES", 1)
+    for workers in READ_WORKERS:
+        monkeypatch.setattr(cv, "_cpu_count", lambda: workers)
+        code = main(["fit", *args, "--penalty", "glasso", "--lambda", "0.1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        errors.add(capsys.readouterr().err)
+        assert_no_child()
+    assert len(errors) == 1
+    err = errors.pop()
     assert err.startswith("error:") and f"{flag[2:]}.csv" in err and message in err
+    assert err.count("\n") == 1
+
+
+@st.composite
+def csv_texts(draw):
+    """A headered predictor CSV and its values: mixed LF and CRLF endings,
+    blank lines, quoted cells (some holding a newline after the number),
+    infinite cells and, sometimes, a last line without a newline."""
+    width = draw(st.integers(1, 4))
+    cell = st.floats(allow_nan=False, min_value=-1e6, max_value=1e6) | st.sampled_from(
+        [math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    quoting = st.sampled_from(["{}", '"{}"', '"{}\n"', " {} "])
+    ending = st.sampled_from(["\n", "\r\n"])
+    values = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                           min_size=1, max_size=8))
+    lines = [",".join(f"x{j}" for j in range(width)) + draw(ending)]
+    for row in values:
+        lines += [draw(ending)] * draw(st.integers(0, 2))  # blank lines
+        lines.append(",".join(draw(quoting).format(repr(v)) for v in row) + draw(ending))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines), np.array(values)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_texts())
+def test_blocks_parse_like_the_one_job_read(tmp_path, monkeypatch, case):
+    text, values = case
+    path = tmp_path / "X.csv"
+    path.write_bytes(text.encode())
+    names, X = read_with_workers(monkeypatch, path, 1)
+    assert X.shape == values.shape and X.tobytes() == values.tobytes()
+    for workers in READ_WORKERS[1:]:
+        got_names, got = read_with_workers(monkeypatch, path, workers)
+        assert got_names == names
+        assert got.shape == X.shape and got.tobytes() == X.tobytes()
+
+
+def test_a_multi_job_read_forks_one_child_per_extra_worker(tmp_path, monkeypatch):
+    rows = np.arange(60.0).reshape(20, 3) / 7
+    path = tmp_path / "X.csv"
+    write_csv(str(path), ["a", "b", "c"], rows.tolist())
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for workers in READ_WORKERS:
+        names, X = read_with_workers(monkeypatch, path, workers)
+        assert len(forks) == workers - 1
+        assert names == ["a", "b", "c"] and X.tobytes() == rows.tobytes()
+        forks.clear()
+    # a body under two jobs' bytes stays in one process
+    read_with_workers(monkeypatch, path, 3, job_bytes=path.stat().st_size)
+    assert forks == []
+
+
+def test_a_read_without_a_temporary_file_parses_in_one_process(tmp_path, monkeypatch):
+    rows = np.arange(60.0).reshape(20, 3) / 7
+    path = tmp_path / "X.csv"
+    write_csv(str(path), ["a", "b", "c"], rows.tolist())
+
+    def no_file():
+        raise PermissionError("no temporary directory")
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_file)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the read forked"))
+    names, X = read_with_workers(monkeypatch, path, 2)
+    assert names == ["a", "b", "c"] and X.tobytes() == rows.tobytes()
+
+
+def test_a_fifo_is_read_in_one_job(tmp_path, monkeypatch):
+    path = tmp_path / "X.fifo"
+    os.mkfifo(path)
+    text = "a,b\n" + "1.5,-2\n" * 50
+
+    def write():
+        with open(path, "w") as fifo:
+            fifo.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a FIFO read forked"))
+    try:
+        names, X = read_with_workers(monkeypatch, path, 3)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert names == ["a", "b"] and X.tolist() == [[1.5, -2.0]] * 50
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -385,8 +511,6 @@ def test_malformed_data_csv_exits_2(tmp_path, capsys, flag, text, message):
         "fit_lambda_negative", "fit_lambda_nan", "fit_lambda_text", "fit_tol_nan"])
 def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, monkeypatch, command,
                                         flags):
-    from grpsel import cli
-
     if "--folds" not in flags:
         # path and cv check every grid setting, and fit its --lambda and stop
         # rule, before they read the data; --folds is checked against the rows
@@ -464,8 +588,6 @@ def test_cv_refuses_one_fold_before_the_bridge_grid_top_runs(tmp_path, fig3_file
 def test_fit_with_a_gamma_list_exits_2_before_reading(tmp_path, fig3_files, capsys,
                                                       monkeypatch, penalty):
     # fit has one gamma; a list used to fit its first value and drop the rest
-    from grpsel import cli
-
     monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
     code = main(["fit", *data_args(fig3_files), "--penalty", penalty, "--gamma", "2.7,3.7",
                  "--lambda", "0.1", "--out", str(tmp_path / "o")])
@@ -675,12 +797,36 @@ def test_gamma_for_a_family_without_one_exits_2_before_reading(
 ):
     # glasso and sgl have no gamma: a list would fit (and score) the same
     # grid once per value, a single value would be ignored
-    from grpsel import cli
-
     monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
     level = ["--lambda", "0.1"] if command == "fit" else []
     code = main([command, *data_args(fig3_files), "--penalty", penalty, "--gamma", "2.7,inf",
                  *level, "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: --penalty {penalty} has no gamma")
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("fit", ["--weights-exponent", "2"], "--weights-exponent is read only with --weights pow"),
+    ("path", ["--weights", "file", "--weights-file", "w.csv", "--weights-exponent", "2"],
+     "--weights-exponent is read only with --weights pow"),
+    ("cv", ["--weights-file", "w.csv"], "--weights-file is read only with --weights file"),
+    ("fit", ["--weights", "pow", "--weights-exponent", "1", "--weights-file", "w.csv"],
+     "--weights-file is read only with --weights file"),
+    ("path", ["--weights", "pow"], "--weights pow needs --weights-exponent"),
+    ("cv", ["--weights", "file"], "--weights file needs --weights-file"),
+    ("fit", ["--weights", "pow", "--weights-exponent", "nan"],
+     "--weights pow needs a finite --weights-exponent"),
+], ids=["exponent_with_sqrt", "exponent_with_file", "file_with_sqrt", "file_with_pow",
+        "pow_without_exponent", "file_without_file", "pow_exponent_nan"])
+def test_weights_flags_are_read_or_refused_before_reading(tmp_path, fig3_files, capsys,
+                                                          monkeypatch, command, flags,
+                                                          message):
+    monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
+    level = ["--lambda", "0.1"] if command == "fit" else []
+    code = main([command, *data_args(fig3_files), "--penalty", "glasso", *level, *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert list(tmp_path.glob("o*")) == []

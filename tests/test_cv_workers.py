@@ -20,15 +20,10 @@ from grpsel.errors import FoldTooSmall, GrpselError, SingularGroup
 from grpsel.paths import PathConfig
 from grpsel.penalties import PenaltySpec
 
-from conftest import gaussian_problem
+from conftest import assert_no_child, gaussian_problem
 
 WORKERS = (1, 2, 3, 8)
 GRID = PathConfig(n_lambda=6, lambda_min_ratio=0.05)
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def with_workers(monkeypatch, workers, fn, *args, **kwargs):

@@ -522,6 +522,24 @@ def test_mcp_value_where_only_the_square_overflows_is_finite():
     assert np.array_equal(values[finite], raw[finite])
 
 
+@pytest.mark.parametrize("family,gamma", [("l1", None), ("mcp", 3.0), ("mcp", math.inf),
+                                          ("scad", 3.7), ("scad", math.inf), ("bridge", 0.5)])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.7e308, math.inf])
+def test_rho_at_zero_is_zero_at_every_level(family, gamma, lam):
+    # a zero coefficient has penalty 0; an infinite level times t = 0 would
+    # be NaN (inf for the MCP); at a finite level the value was already 0
+    t = np.array([0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, values = rho(0.0, lam, gamma, family), rho(t, lam, gamma, family)
+        one = rho(1.0, lam, gamma, family)
+    assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert values[0] == values[2] == 0.0 and values[1] == one
+    # -0.0 keeps its sign, as every finite level gave it before
+    assert math.copysign(1.0, rho(-0.0, lam, gamma, family)) == -1.0
+    assert one == math.inf if math.isinf(lam) else math.isfinite(one)
+
+
 def _stationarity_oracle(design, pen, coef):
     if pen.family in TWO_NORM_FAMILIES:
         return kkt_reference(design, pen, coef)
