@@ -282,7 +282,8 @@ def sgl_kkt(design, coef: np.ndarray, lam1: float, lam2: float) -> float:
 
 
 def sgl_lambda_max(design) -> float:
-    """Coordinate-level penalty at which the sgl solution is zero (any lam2)."""
+    """Smallest coordinate-level penalty at which the sgl solution is zero when
+    lam2 = 0; for lam2 > 0 an upper bound (the group level zeroes a group sooner)."""
     return float(np.max(np.abs(design.X.T @ design.y / design.n)))
 
 
@@ -345,7 +346,7 @@ def fit_path_lcd(
 
 def fit_path_sgl(
     design,
-    lam2_ratio: float = 1.0,
+    lam2_ratio: float = None,
     lam2: float = None,
     n_lambda: int = 100,
     lambda_min_ratio: float = None,
@@ -355,11 +356,10 @@ def fit_path_sgl(
 ) -> SolutionPath:
     """``paths.solution_path`` for the sparse group LASSO, settings passed one by one.
 
-    The group-level parameter is either tied to the grid
-    (``lam2 = lam2_ratio * lam1``) or held fixed (``lam2=...``).
+    ``lam2`` pins the group level, else it is ``lam2_ratio`` (default 1) times lam1.
     """
     from .paths import PathConfig, solution_path  # paths imports this module
 
-    config = PathConfig(n_lambda, lambda_min_ratio, tol=tol, max_iter=max_iter,
-                        sgl_lambda2_ratio=lam2_ratio, sgl_lambda2=lam2)
-    return solution_path(design, PenaltySpec("sgl", lam=0.0), config, lambdas)
+    pen = PenaltySpec("sgl", lam=0.0, lam2=lam2, lam2_ratio=lam2_ratio)
+    return solution_path(design, pen, PathConfig(n_lambda, lambda_min_ratio, tol=tol,
+                                                 max_iter=max_iter), lambdas)

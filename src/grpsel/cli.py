@@ -284,7 +284,7 @@ def _penalty(args):
     is read, and the name of its grid's second column (``lambda2`` for sgl)."""
     gammas = _parse_numbers(args.gamma, "--gamma")
     try:  # every listed gamma is checked; each message starts with the family
-        pen = PenaltySpec(args.penalty, lam=0.0, lam2=args.lambda2 or 0.0)
+        pen = PenaltySpec(args.penalty, 0.0, lam2=args.lambda2, lam2_ratio=args.lambda2_ratio)
         pen = ([pen.with_gamma(g) for g in gammas or ()] or [pen])[0]
     except (ValueError, GammaOutOfRange) as exc:
         raise ConfigError(f"--penalty {exc}") from None
@@ -350,18 +350,17 @@ def cmd_fit(args) -> int:
     if args.lam == "max":  # the family's grid top, which needs the data
         pen = pen0.with_lam(FAMILIES[pen0.family].top(design, pen0, None))
     fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
-    second_val = pen.lam2 if pen.family == "sgl" else pen.shape_param
     write_csv(
         args.out + "_coef.csv",
         ["lambda", second_name] + names,
-        [[pen.lam, second_val] + fit.beta.tolist()],
+        [[pen.lam, pen.second] + fit.beta.tolist()],
     )
     write_json(
         args.out + "_fit.json",
         {
             "penalty": pen.family,
             "lambda": pen.lam,
-            second_name: second_val,
+            second_name: pen.second,
             "objective": fit.objective,
             "iterations": fit.iterations,
             "converged": fit.converged,
@@ -379,8 +378,7 @@ def cmd_fit(args) -> int:
 def _path_config(args, gammas) -> PathConfig:
     return PathConfig(n_lambda=args.nlambda, lambda_min_ratio=args.lambda_min_ratio,
                       gamma_grid=gammas, warm_start=args.warm_start,
-                      tol=args.tol, max_iter=args.max_iter,
-                      sgl_lambda2_ratio=args.lambda2_ratio, sgl_lambda2=args.lambda2)
+                      tol=args.tol, max_iter=args.max_iter)
 
 
 def cmd_path(args) -> int:
@@ -492,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"grid points per gamma, 2 to {MAX_N_LAMBDA}")
         p.add_argument("--lambda-min-ratio", type=float, default=None)
         p.add_argument("--warm-start", default="previous_lambda", choices=WARM_STARTS)
-        p.add_argument("--lambda2-ratio", type=float, default=1.0)
+        p.add_argument("--lambda2-ratio", type=float, default=None,
+                       help="sgl only: lambda2 = this times lambda (default 1)")
 
     def add_data_flags(p):
         p.add_argument("--x", required=True, help="predictor CSV (headered)")
@@ -504,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concavity parameter (path, cv: a comma list); 'inf' "
                             "allowed; refused by a family without one")
         p.add_argument("--lambda2", type=float, default=None,
-                       help="sgl group-level penalty")
+                       help="sgl only: lambda2 at every lambda (default: lambda)")
         p.add_argument("--weights", default="sqrt", choices=["sqrt", "pow", "file"])
         p.add_argument("--weights-exponent", type=float, default=None)
         p.add_argument("--weights-file", default=None)
@@ -516,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(fit)
     fit.add_argument("--lambda", dest="lam", required=True,
                      help="penalty level, or 'max'")
-    fit.set_defaults(func=cmd_fit)
+    fit.set_defaults(func=cmd_fit, lambda2_ratio=None)
 
     path = sub.add_parser("path", help="pathwise fits over a lambda grid")
     add_grid_flags(path)

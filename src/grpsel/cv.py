@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import GroupedDesign, predict, rebuild_design
-from .errors import FoldTooSmall, GrpselError
+from .errors import ConfigError, FoldTooSmall, GrpselError
 from .paths import PathConfig, fit_grid, path_grid, solution_path
 from .penalties import PenaltySpec
 
@@ -52,6 +52,8 @@ class CVReport:
 
 def fold_assignments(n: int, K: int, seed: int):
     """Deterministic fold index sets: a seeded shuffle cut into K chunks."""
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, not {seed!r}")
     if K < 2:
         raise FoldTooSmall("need at least two folds")
     if K > n:

@@ -146,8 +146,7 @@ class FitResult:
 class SolutionPath:
     """Fits along an ordered penalty grid.
 
-    ``grid`` holds (lam, gamma) pairs with lam descending within each
-    gamma; for the sgl family the second entry is lam2 instead.
+    ``grid`` holds (lam, ``PenaltySpec.second``) pairs, lam descending within each gamma.
     """
 
     grid: list

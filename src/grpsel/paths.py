@@ -10,7 +10,6 @@ checks the settings, ``path_grid`` lays out the grid and ``fit_grid`` fits it.
 the same driver with the settings passed one by one.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,9 +79,7 @@ class PathConfig:
 
     ``gamma_grid`` sets each family's shape parameter through
     ``PenaltySpec.with_gamma``, which refuses it for a family without one;
-    ``None`` means the single value carried by the penalty spec.  For the
-    sgl family the group-level parameter follows the grid as
-    ``lam2 = sgl_lambda2_ratio * lam1`` unless ``sgl_lambda2`` pins it.
+    ``None`` means the single value carried by the penalty spec.
     Construction checks every field, the stop rule by ``gcd.check_stop_rule``;
     a bad one raises ``ConfigError``, which names the field and its range.
     """
@@ -93,19 +90,15 @@ class PathConfig:
     warm_start: str = "previous_lambda"
     tol: float = 1e-7
     max_iter: int = 10_000
-    sgl_lambda2_ratio: float = 1.0
-    sgl_lambda2: float = None
 
     def __post_init__(self):
-        ratio, gammas, lam2 = self.lambda_min_ratio, self.gamma_grid, self.sgl_lambda2
+        ratio, gammas = self.lambda_min_ratio, self.gamma_grid
         for name, ok, rule in (
             ("n_lambda", 2 <= self.n_lambda <= MAX_N_LAMBDA, f"in [2, {MAX_N_LAMBDA}]"),
             ("lambda_min_ratio", ratio is None or 0 < ratio < 1, "None or in (0, 1)"),
             ("gamma_grid", gammas is None or 0 < len(set(gammas)) == len(gammas),
              "None or nonempty, with no value listed more than once"),
             ("warm_start", self.warm_start in WARM_STARTS, f"a warm start in {WARM_STARTS}"),
-            ("sgl_lambda2_ratio", 0 <= self.sgl_lambda2_ratio < math.inf, "finite and >= 0"),
-            ("sgl_lambda2", lam2 is None or 0 <= lam2 < math.inf, "None or finite and >= 0"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, not {getattr(self, name)!r}")
@@ -178,13 +171,7 @@ def fit_grid(design, config: PathConfig, family: Family, pens, lambdas, start) -
 
     grid, fits = [], []
     for pen in pens:
-        if pen.family == "sgl":
-            lam2 = config.sgl_lambda2
-            points = [pen.with_lam(lam, config.sgl_lambda2_ratio * float(lam)
-                                   if lam2 is None else lam2) for lam in lambdas]
-            grid += [(p.lam, p.lam2) for p in points]
-        else:
-            points = [pen.with_lam(lam) for lam in lambdas]
-            grid += [(p.lam, float(p.shape_param)) for p in points]
+        points = [pen.with_lam(lam) for lam in lambdas]
+        grid += [(p.lam, p.second) for p in points]
         fits += _chain(family, design, points, config, start, inits)
     return SolutionPath(grid=grid, fits=fits, lambda_max=float(lambdas[0]))

@@ -60,32 +60,41 @@ class PenaltySpec:
     parameters and refuses the rest with ``ConfigError``: ``gamma``, the
     concavity of ``gmcp`` (> 1), ``gscad`` (> 2) and ``gbridge`` (in (0, 1));
     ``gamma_inner``, the inner MCP concavity of ``cmcp`` (finite, > 1), whose
-    outer concavity is derived per group as ``d_j * gamma_inner * lam / 2``
-    and never stored; ``lam2``, the group-norm level of ``sgl``, with ``lam``
-    serving as its coordinate-wise level.  ``gamma`` reads ``math.inf`` for
-    the families without one, which may pass that value; for ``gmcp`` and
-    ``gscad`` it routes them to the group LASSO kernel exactly.  Both levels
-    must be finite and nonnegative.
+    outer concavity ``d_j * gamma_inner * lam / 2`` is never stored; for
+    ``sgl``, whose ``lam`` is the coordinate-wise level, either ``lam2``, the
+    group-norm level, or ``lam2_ratio``, which sets ``lam2 = lam2_ratio * lam``
+    at every ``with_lam`` (the default, at ratio 1).  ``gamma`` reads
+    ``math.inf`` for the families without one, which may pass that value; for
+    ``gmcp`` and ``gscad`` it routes them to the group LASSO kernel exactly.
+    The levels and the ratio must be finite and nonnegative.
     """
 
     family: str
     lam: float
     gamma: float = None
-    lam2: float = 0.0
+    lam2: float = None
     gamma_inner: float = None
+    lam2_ratio: float = None
 
     def __post_init__(self):
         fam = self.family
         if fam not in FAMILIES:
             raise UnsupportedFamily(f"unknown penalty family {fam!r}")
-        if not (0 <= self.lam < math.inf and 0 <= self.lam2 < math.inf):
-            raise ValueError(f"{fam} levels must be finite and nonnegative, not "
-                             f"lam={self.lam!r}, lam2={self.lam2!r}")
         shape = _SHAPES.get(fam)
-        takes = (shape[0] if shape else None, "lam2" if fam == "sgl" else None)
-        for name, unset in (("gamma", math.inf), ("gamma_inner", None), ("lam2", 0.0)):
+        takes = (shape[0] if shape else None, *(("lam2", "lam2_ratio") if fam == "sgl" else ()))
+        for name, unset in (("gamma", math.inf), ("gamma_inner", None), ("lam2", None),
+                            ("lam2_ratio", None)):
             if name not in takes and getattr(self, name) not in (None, unset):
                 raise ConfigError(f"{fam} has no {name}")
+        if None not in (self.lam2, self.lam2_ratio):  # only sgl takes either
+            raise ConfigError("sgl takes lam2 or lam2_ratio, not both")
+        if fam == "sgl" and self.lam2 is None:  # tied to lam, at ratio 1 unless given
+            ratio = 1.0 if self.lam2_ratio is None else self.lam2_ratio
+            object.__setattr__(self, "lam2", ratio * self.lam)
+            object.__setattr__(self, "lam2_ratio", ratio)
+        for name in ("lam", "lam2_ratio", "lam2"):  # a ratio before the level it gives
+            if (value := getattr(self, name)) is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{fam} {name} must be finite and nonnegative, not {value!r}")
         if shape:
             field, default, rule, ok = shape
             if getattr(self, field) is None:
@@ -99,8 +108,9 @@ class PenaltySpec:
             raise ValueError(f"cmcp lam {self.lam!r} is so small that "
                              "gamma_inner * lam**2 / 2 underflows to 0")
 
-    def with_lam(self, lam: float, lam2: float = None) -> "PenaltySpec":
-        return replace(self, lam=float(lam), lam2=float(self.lam2 if lam2 is None else lam2))
+    def with_lam(self, lam: float) -> "PenaltySpec":
+        """The spec at level ``lam``: a tied sgl ``lam2`` follows it, a pinned one stays."""
+        return replace(self, lam=float(lam), lam2=self.lam2 if self.lam2_ratio is None else None)
 
     def with_gamma(self, gamma: float) -> "PenaltySpec":
         """The spec with its shape parameter (``gamma_inner`` for cmcp) set to ``gamma``."""
@@ -109,9 +119,10 @@ class PenaltySpec:
         return replace(self, **{_SHAPES[self.family][0]: float(gamma)})
 
     @property
-    def shape_param(self) -> float:
-        """The family's free concavity parameter (gamma_inner for cmcp, inf without one)."""
-        return getattr(self, _SHAPES[self.family][0]) if self.family in _SHAPES else self.gamma
+    def second(self) -> float:
+        """A grid point's second coordinate: sgl's lam2, else the shape parameter (or inf)."""
+        return float(getattr(self, "lam2" if self.family == "sgl"
+                             else _SHAPES.get(self.family, ("gamma",))[0]))
 
 
 def soft_threshold(z, t):

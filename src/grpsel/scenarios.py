@@ -39,6 +39,7 @@ class ScenarioSpec:
             ("n", self.n >= 2, "at least 2"),
             ("sigma", 0 <= self.sigma < math.inf, "finite and >= 0"),
             ("correlation", 0 <= self.correlation < 1, "in [0, 1)"),
+            ("seed", self.seed >= 0, "at least 0"),
             ("group_sizes", not custom or sizes and all(
                 d >= 1 and float(d).is_integer() for d in sizes), "integers >= 1 (custom)"),
             ("beta", not custom or beta is not None and all(map(math.isfinite, beta))

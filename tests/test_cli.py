@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from grpsel import cli, cv
 from grpsel.cli import main, read_groups_csv, read_matrix_csv, read_vector_csv, write_csv
+from grpsel.design import build_design
+from grpsel.paths import solution_path
+from grpsel.penalties import PenaltySpec
 
 from conftest import assert_no_child
 from oracles import fmt_reference
@@ -503,17 +506,20 @@ def test_a_fifo_is_read_in_one_job(tmp_path, monkeypatch):
     ("fit", ["--lambda", "nan"]),
     ("fit", ["--lambda", "abc"]),
     ("fit", ["--lambda", "0.1", "--tol", "nan"]),
+    ("cv", ["--seed", "-1"]),
 ], ids=["nlambda_1", "min_ratio_0", "min_ratio_1.5", "folds_1", "folds_above_rows",
         "tol_negative", "tol_nan", "tol_inf", "max_iter_0", "cv_max_iter_negative",
         "fit_max_iter_negative", "lambda2_ratio_negative", "lambda2_ratio_nan",
         "nlambda_above_bound", "nlambda_huge", "cv_nlambda_1", "min_ratio_1",
         "cv_min_ratio_nan", "lambda2_ratio_inf", "cv_lambda2_negative", "cv_tol_nan",
-        "fit_lambda_negative", "fit_lambda_nan", "fit_lambda_text", "fit_tol_nan"])
+        "fit_lambda_negative", "fit_lambda_nan", "fit_lambda_text", "fit_tol_nan",
+        "cv_seed_negative"])
 def test_out_of_range_grid_flags_exit_2(tmp_path, fig3_files, capsys, monkeypatch, command,
                                         flags):
-    if "--folds" not in flags:
+    if not {"--folds", "--seed"} & set(flags):
         # path and cv check every grid setting, and fit its --lambda and stop
-        # rule, before they read the data; --folds is checked against the rows
+        # rule, before they read the data; --folds is checked against the rows,
+        # with --seed
         monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
     # a later --penalty replaces the first one
     code = main([command, *data_args(fig3_files), "--penalty", "glasso", *flags,
@@ -548,9 +554,10 @@ def test_group_lasso_init_is_refused_for_coordinate_wise_families(tmp_path, fig3
     ["--scenario", "custom", "--group-sizes", "2", "--beta", "1,x"],
     ["--scenario", "custom", "--group-sizes", "", "--beta", "1"],
     ["--scenario", "custom", "--group-sizes", "2"],
+    ["--seed", "-3"],
 ], ids=["sigma_nan", "sigma_inf", "sigma_negative", "beta_nan", "size_0", "size_text",
         "size_negative", "size_fraction", "lengths_differ", "beta_text", "sizes_empty",
-        "beta_missing"])
+        "beta_missing", "seed_negative"])
 def test_simulate_refuses_bad_inputs_with_exit_2(tmp_path, capsys, flags):
     # a NaN or infinite sigma or beta would write a noise-free or non-finite y,
     # and a zero group size an empty group
@@ -830,3 +837,36 @@ def test_weights_flags_are_read_or_refused_before_reading(tmp_path, fig3_files, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("path", ["--penalty", "gmcp", "--lambda2-ratio", "5"], "--penalty gmcp has no lam2_ratio"),
+    ("cv", ["--penalty", "glasso", "--lambda2-ratio", "2"], "--penalty glasso has no lam2_ratio"),
+    ("path", ["--penalty", "sgl", "--lambda2", "0.5", "--lambda2-ratio", "3"],
+     "--penalty sgl takes lam2 or lam2_ratio, not both"),
+    ("path", ["--penalty", "gmcp", "--lambda2", "0"], "--penalty gmcp has no lam2"),
+], ids=["ratio_gmcp", "ratio_glasso_cv", "ratio_and_lambda2_sgl", "lambda2_0_gmcp"])
+def test_sgl_level_flags_are_read_or_refused_before_reading(tmp_path, fig3_files, capsys,
+                                                            monkeypatch, command, flags,
+                                                            message):
+    monkeypatch.setattr(cli, "read_matrix_csv", lambda path: pytest.fail("data was read"))
+    code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_sgl_fit_equals_a_one_point_path(tmp_path, fig3_files):
+    # without --lambda2 both tie the group level to lambda
+    out = str(tmp_path / "fit")
+    assert main(["fit", *data_args(fig3_files), "--penalty", "sgl", "--lambda", "0.05",
+                 "--out", out]) == 0
+    assert json.load(open(out + "_fit.json"))["lambda2"] == 0.05
+    names, X = read_matrix_csv(fig3_files + "_X.csv")
+    design = build_design(X, read_vector_csv(fig3_files + "_y.csv"),
+                          read_groups_csv(fig3_files + "_groups.csv", names),
+                          orthonormalize=False)
+    path = solution_path(design, PenaltySpec("sgl", lam=0.0), lambdas=[0.05])
+    assert path.grid == [(0.05, 0.05)]
+    _, row = read_matrix_csv(out + "_coef.csv")
+    assert row[0].tolist() == [0.05, 0.05, *path.fits[0].beta.tolist()]

@@ -35,6 +35,8 @@ def test_fold_count_bounds():
         fold_assignments(10, 1, 0)
     with pytest.raises(FoldTooSmall):
         fold_assignments(10, 11, 0)
+    with pytest.raises(ConfigError, match="^seed must be at least 0, not -1$"):
+        fold_assignments(10, 2, -1)
 
 
 def test_bad_folds_and_grids_fail_before_any_fit(monkeypatch):

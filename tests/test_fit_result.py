@@ -42,9 +42,11 @@ def _eager(design, pen, fit, c):
 
 
 def _penalty(family, point):
+    # the penalty that a grid point's fit holds: the sgl solver takes both levels as numbers
     lam, second = point
-    template = PenaltySpec(family, lam=0.0)
-    return template.with_lam(lam, second) if family == "sgl" else template.with_lam(lam)
+    if family == "sgl":
+        return PenaltySpec(family, lam=lam, lam2=second)
+    return PenaltySpec(family, lam=0.0).with_lam(lam)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -732,7 +732,7 @@ def test_accelerated_bilevel_fits_match_separate_loop_reference(case, family, mo
     previous = None
     for ratio in _levels(case, family):
         lam = ratio * top
-        pen = PenaltySpec(family, lam=lam, lam2=lam if family == "sgl" else 0.0)
+        pen = PenaltySpec(family, lam=lam)
         for init in [None] if previous is None else [None, previous]:
             if family == "sgl":
                 ref = fit_sparse_group_lasso_reference(design, lam, lam, init=init, tol=TWIN_TOL)

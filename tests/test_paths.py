@@ -79,9 +79,13 @@ def test_sgl_fixed_lambda2():
     flat, _ = gaussian_design(50, [2, 2], sigma=0.5, seed=3,
                               beta=np.array([1.0, 0.0, 0.0, -0.5]),
                               orthonormalize=False)
-    config = PathConfig(n_lambda=6, lambda_min_ratio=0.05, sgl_lambda2=0.02)
-    path = solution_path(flat, PenaltySpec("sgl", lam=0.0), config)
+    config = PathConfig(n_lambda=6, lambda_min_ratio=0.05)
+    path = solution_path(flat, PenaltySpec("sgl", lam=0.0, lam2=0.02), config)
     assert all(l2 == 0.02 for _, l2 in path.grid)
+    # a tied level follows the grid, at ratio 1 unless given
+    for pen, ratio in ((PenaltySpec("sgl", lam=0.0), 1.0),
+                       (PenaltySpec("sgl", lam=0.0, lam2_ratio=0.5), 0.5)):
+        assert all(l2 == ratio * lam for lam, l2 in solution_path(flat, pen, config).grid)
 
 
 def test_cv_with_lcd_gamma_sweep_keeps_folds_aligned():
@@ -113,9 +117,7 @@ def test_cv_applies_default_gamma_grid_for_concave_families():
     dict(max_iter=-1), dict(n_lambda=1), dict(n_lambda=MAX_N_LAMBDA + 1),
     dict(lambda_min_ratio=0.0), dict(lambda_min_ratio=1.0), dict(lambda_min_ratio=2.0),
     dict(lambda_min_ratio=math.nan), dict(warm_start="bogus"), dict(gamma_grid=(1.2, 1.2)),
-    dict(gamma_grid=()), dict(sgl_lambda2_ratio=-1.0), dict(sgl_lambda2_ratio=math.nan),
-    dict(sgl_lambda2_ratio=math.inf), dict(sgl_lambda2=-1.0), dict(sgl_lambda2=math.nan),
-    dict(sgl_lambda2=math.inf),
+    dict(gamma_grid=()),
 ])
 def test_path_config_refuses_bad_solver_settings(settings):
     # PathConfig owns every grid and solver setting: each rule names its field
@@ -125,7 +127,7 @@ def test_path_config_refuses_bad_solver_settings(settings):
     assert isinstance(caught.value, ValueError)
     # the edges are allowed
     PathConfig(n_lambda=2, lambda_min_ratio=5e-324, gamma_grid=(1.2, math.inf), tol=0.0,
-               max_iter=1, sgl_lambda2_ratio=0.0, sgl_lambda2=0.0)
+               max_iter=1)
     PathConfig(n_lambda=MAX_N_LAMBDA, warm_start="group_lasso_init")
 
 

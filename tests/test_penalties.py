@@ -90,6 +90,14 @@ class TestPenaltySpec:
         PenaltySpec("gscad", 0.1, gamma=math.inf)
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("name", ["lam2_ratio", "lam2"])
+def test_sgl_group_level_must_be_finite_and_nonnegative(name, value):
+    with pytest.raises(ValueError, match=f"^sgl {name} must be finite and nonnegative"):
+        PenaltySpec("sgl", 0.1, **{name: value})
+    assert PenaltySpec("sgl", 0.1, **{name: 0.0}).lam2 == 0.0  # the edge is allowed
+
+
 # family: its shape field, that field's default, values inside its range and
 # values outside it (None: the family has no shape parameter)
 SHAPES = {
@@ -107,26 +115,34 @@ def test_each_family_takes_its_own_parameters_and_refuses_the_rest(family, tmp_p
     field, default, inside, outside = SHAPES[family]
     pen = PenaltySpec(family, 0.1)
     assert pen.gamma == (default if field == "gamma" else math.inf)
-    assert pen.shape_param == (default if field else math.inf)
+    # a grid point's second coordinate: sgl's lam2, tied to lam by default
+    assert pen.second == (default if field else 0.1 if family == "sgl" else math.inf)
     if field:
         assert getattr(pen, field) == default
     for value in inside:  # set directly or through with_gamma (gamma_inner for cmcp)
         for spec in (PenaltySpec(family, 0.1, **{field: value}), pen.with_gamma(value)):
-            assert getattr(spec, field) == value and spec.shape_param == value
+            assert getattr(spec, field) == value and spec.second == value
     for value in outside:
         with pytest.raises(GammaOutOfRange, match=f"^{family} requires"):
             PenaltySpec(family, 0.1, **{field: value})
         with pytest.raises(GammaOutOfRange, match=f"^{family} requires"):
             pen.with_gamma(value)
 
-    takes = (field, "lam2" if family == "sgl" else None)
+    takes = (field, *(("lam2", "lam2_ratio") if family == "sgl" else ()))
     for name, value in (("gamma", 3.0), ("gamma", 0.5), ("gamma", math.nan),
-                        ("gamma_inner", 3.0), ("gamma_inner", math.inf), ("lam2", 0.2)):
+                        ("gamma_inner", 3.0), ("gamma_inner", math.inf), ("lam2", 0.2),
+                        ("lam2", 0.0), ("lam2_ratio", 2.0), ("lam2_ratio", 1.0)):
         if name not in takes:
             with pytest.raises(ConfigError, match=f"^{family} has no {name}$"):
                 PenaltySpec(family, 0.1, **{name: value})
-    if family == "sgl":
+    if family == "sgl":  # a pinned lam2 stays, a tied one follows lam
         assert PenaltySpec(family, 0.1, lam2=0.2).with_lam(0.3).lam2 == 0.2
+        assert PenaltySpec(family, 0.1, lam2_ratio=2.0).with_lam(0.3).lam2 == 0.6
+        assert pen.with_lam(0.3).lam2 == 0.3 and pen.lam2_ratio == 1.0
+        with pytest.raises(ConfigError, match="^sgl takes lam2 or lam2_ratio, not both$"):
+            PenaltySpec(family, 0.1, lam2=0.2, lam2_ratio=1.0)
+        with pytest.raises(ValueError, match="^sgl lam2 must"):  # ratio * lam overflows
+            PenaltySpec(family, 1e300, lam2_ratio=1e10)
     if field != "gamma":  # inf is the value gamma reads without one
         assert PenaltySpec(family, 0.1, gamma=math.inf) == pen
     if field is None:
@@ -567,7 +583,8 @@ def test_stationarity_is_the_fit_residual_and_matches_the_oracles(family):
     path = solution_path(design, template, PathConfig(n_lambda=6, lambda_min_ratio=0.05))
     rng = np.random.default_rng(11)
     for (lam, second), fit in zip(path.grid, path.fits):
-        pen = template.with_lam(lam, second if family == "sgl" else None)
+        pen = template.with_lam(lam)
+        assert pen.second == second
         # a frozen bridge group is pinned at exactly zero, which stationarity skips
         assert stationarity(design, pen, fit.coef) == fit.kkt_max_violation
         for _ in range(4):
@@ -587,7 +604,7 @@ def test_stationarity_of_non_finite_coefficients_is_nan(family, bad):
     # over the group and coordinate parts once returned 0.0 for sgl
     design, _ = gaussian_design(30, [2, 2], sigma=1.0, seed=0,
                                 orthonormalize=family in TWO_NORM_FAMILIES)
-    pen = PenaltySpec(family, lam=0.1, lam2=0.1 if family == "sgl" else 0.0)
+    pen = PenaltySpec(family, lam=0.1)
     for k in (0, 3):
         coef = np.ones(4)
         coef[k] = bad

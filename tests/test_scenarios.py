@@ -54,6 +54,8 @@ def test_custom_scenario_and_validation():
         ScenarioSpec(name="custom", n=20)
     with pytest.raises(ConfigError):
         ScenarioSpec(name="figure1", correlation=1.0)
+    with pytest.raises(ConfigError, match="^seed must be at least 0"):
+        ScenarioSpec(name="figure1", seed=-3)
     with pytest.raises(ConfigError):
         ScenarioSpec(name="unknown")
     with pytest.raises(ConfigError):
