@@ -6,7 +6,8 @@ model differing from the oracle least squares fit must stay below
 eta1 + eta2 whenever the conditions on (lam, gamma, signal, noise) hold.
 A negative control with the signal below gamma*lam is included to show the
 condition flags at work.  Exits with the first nonzero ``verify-theory``
-exit status (3 when a report says FAIL), after running every experiment.
+exit status (3 when a report says FAIL, 4 when a fit did not converge),
+after running every experiment.
 """
 
 import argparse
@@ -33,8 +34,6 @@ def run(out_dir: str, reps: int, seed: int) -> int:
             "params": {"n": 200, "beta_star": 0.5, "gamma": 3.0, "lam": 0.4,
                        "reps": max(reps // 10, 10), "seed": seed},
         },
-        "irrepresentable": {"experiment": "irrepresentable",
-                            "params": {"problems": 100, "seed": seed}},
     }
     status = 0
     for name, config in experiments.items():

@@ -11,7 +11,7 @@ predictors with column names, a single-column response, and a two-column
 are deterministic given the inputs, flags and seed; files are written
 atomically (write-temp-then-rename).  Exit status: 0 on success, 2 on bad
 inputs or configs, 1 on solver failures, 3 when a ``verify-theory`` report
-says FAIL.
+says FAIL, 4 when the files are written but a fit did not converge.
 """
 
 import argparse
@@ -34,14 +34,15 @@ from .design import build_design, group_norms
 from .errors import (ConfigError, FoldTooSmall, GammaOutOfRange, GrpselError, NonFiniteInput,
                      ParseError)
 from .gcd import check_stop_rule
-from .paths import FAMILIES, MAX_N_LAMBDA, WARM_STARTS, PathConfig, solution_path
+from .paths import FAMILIES, MAX_N_LAMBDA, WARM_STARTS, PathConfig, grid_top, solution_path
 from .penalties import TWO_NORM_FAMILIES, PenaltySpec
 from .scenarios import ScenarioSpec, make_scenario
 from .theory import run_experiment
 
 # verify-theory's status for a report that says FAIL (PASS and
-# CONDITION_VIOLATED exit 0); distinct from 1 and 2
-EXIT_FAIL = 3
+# CONDITION_VIOLATED exit 0), and any command's when a fit did not converge
+# (its files are still written; FAIL wins); distinct from 1 and 2
+EXIT_FAIL, EXIT_NONCONVERGED = 3, 4
 
 # the body bytes per parse job of a predictor file: a fork plus the return
 # of a 1.6 MB block costs 4-10 ms, the parse time of 0.2-0.4 MB
@@ -332,9 +333,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _report_nonconverged(k: int, total: int) -> None:
+def _report_nonconverged(k: int, total: int) -> int:
+    """The exit status when ``k`` of ``total`` fits did not converge, said on stderr."""
     if k:
         print(f"{k} of {total} fits did not converge", file=sys.stderr)
+    return EXIT_NONCONVERGED if k else 0
 
 
 def cmd_fit(args) -> int:
@@ -348,7 +351,7 @@ def cmd_fit(args) -> int:
     check_stop_rule(args.tol, args.max_iter)
     names, design = _load_design(args, pen0)
     if args.lam == "max":  # the family's grid top, which needs the data
-        pen = pen0.with_lam(FAMILIES[pen0.family].top(design, pen0, None))
+        pen = pen0.with_lam(grid_top(design, [pen0]))
     fit = FAMILIES[pen.family].fit(design, pen, tol=args.tol, max_iter=args.max_iter)
     write_csv(
         args.out + "_coef.csv",
@@ -372,7 +375,7 @@ def cmd_fit(args) -> int:
         f"fit {pen.family}: lambda={pen.lam} objective={fit.objective} "
         f"nonzero={fit.n_nonzero} converged={fit.converged}"
     )
-    return 0
+    return _report_nonconverged(int(not fit.converged), 1)
 
 
 def _path_config(args, gammas) -> PathConfig:
@@ -386,7 +389,7 @@ def cmd_path(args) -> int:
     config = _path_config(args, gammas)  # every grid flag is checked before any data is read
     names, design = _load_design(args, pen0)
     path = solution_path(design, pen0, config)
-    _report_nonconverged(sum(not f.converged for f in path.fits), len(path.fits))
+    code = _report_nonconverged(sum(not f.converged for f in path.fits), len(path.fits))
     grid = np.array(path.grid)
     lead = np.column_stack([grid[:, 0], grid[:, 0] / (path.lambda_max or 1.0), grid[:, 1]])
     norms = np.array([group_norms(design, f.beta) for f in path.fits])
@@ -409,7 +412,7 @@ def cmd_path(args) -> int:
                       (row.tolist() for row in table[block]))
     written = f"{len(blocks)} path file pairs" if len(blocks) > 1 else "path files"
     print(f"wrote {written} under prefix {args.out}")
-    return 0
+    return code
 
 
 def cmd_cv(args) -> int:
@@ -417,7 +420,7 @@ def cmd_cv(args) -> int:
     config = _path_config(args, gammas)
     names, design = _load_design(args, pen0)  # kfold_cv checks --folds against the rows
     report = kfold_cv(design, pen0, config, K=args.folds, seed=args.seed)
-    _report_nonconverged(report.n_nonconverged, len(report.grid) * (args.folds + 1))
+    code = _report_nonconverged(report.n_nonconverged, len(report.grid) * (args.folds + 1))
     write_csv(
         args.out + "_cvgrid.csv",
         ["lambda", second, "mean_cv_error", "se"],
@@ -444,7 +447,7 @@ def cmd_cv(args) -> int:
         f"cv {pen0.family}: chosen_min lambda={report.chosen_min[0]} "
         f"chosen_1se lambda={report.chosen_1se[0]}"
     )
-    return 0
+    return code
 
 
 def cmd_verify_theory(args) -> int:
@@ -455,15 +458,14 @@ def cmd_verify_theory(args) -> int:
             raise ConfigError(f"{args.config}: {exc}") from None
     report = run_experiment(config)
     write_json(args.out, report)
-    if "n_nonconverged" in report:
-        _report_nonconverged(report["n_nonconverged"], report["reps"])
+    code = _report_nonconverged(report.get("n_nonconverged", 0), report.get("reps"))
     if "cases" in report:
         for case in report["cases"]:
             print(f"{case['status']}: t={case['t']} k={case['k']} "
                   f"empirical={case['empirical']} bound={case['bound']}")
     status = report.get("status", "PASS" if report.get("pass") else "FAIL")
     print(f"{status}: {report['experiment']}")
-    return EXIT_FAIL if status == "FAIL" else 0
+    return EXIT_FAIL if status == "FAIL" else code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ from .gcd import SolutionPath, default_min_ratio, fit_path, lambda_grid
 from .penalties import TWO_NORM_FAMILIES, PenaltySpec
 
 __all__ = ["FAMILIES", "Family", "PathConfig", "fit_grid", "fit_path", "fit_path_lcd",
-           "fit_path_sgl", "path_grid", "solution_path"]
+           "fit_path_sgl", "grid_top", "path_grid", "solution_path"]
 
 WARM_STARTS = ("previous_lambda", "group_lasso_init")
 MAX_N_LAMBDA = 10_000  # a larger grid is a mistake: every point is a fit, per gamma and fold
@@ -137,8 +137,20 @@ def path_grid(design, pen_template: PenaltySpec, config: PathConfig, lambdas=Non
         return family, pens, np.sort(np.asarray(lambdas, dtype=float))[::-1], start
     ratio = config.lambda_min_ratio
     ratio = default_min_ratio(design) if ratio is None else ratio
-    top = family.top(design, pens[0], start)
+    top = grid_top(design, pens, start)
     return family, pens, lambda_grid(top, config.n_lambda, ratio), start
+
+
+def grid_top(design, pens, start=None) -> float:
+    """``Family.top`` for ``pens``, one family's penalties; ``ConfigError`` when a
+    penalty cannot be stated there, such as an sgl ``lam2`` whose ratio overflows."""
+    top = FAMILIES[pens[0].family].top(design, pens[0], start)
+    try:
+        for pen in pens:
+            pen.with_lam(top)
+    except ValueError as exc:
+        raise ConfigError(f"the grid top: {exc}") from None
+    return top
 
 
 def solution_path(

@@ -94,7 +94,10 @@ class PenaltySpec:
             object.__setattr__(self, "lam2_ratio", ratio)
         for name in ("lam", "lam2_ratio", "lam2"):  # a ratio before the level it gives
             if (value := getattr(self, name)) is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{fam} {name} must be finite and nonnegative, not {value!r}")
+                tie = (f" (lam2_ratio {self.lam2_ratio!r} * lam {self.lam!r})"
+                       if name == "lam2" and self.lam2_ratio is not None else "")
+                raise ValueError(f"{fam} {name} must be finite and nonnegative, "
+                                 f"not {value!r}{tie}")
         if shape:
             field, default, rule, ok = shape
             if getattr(self, field) is None:

@@ -488,14 +488,6 @@ def monte_carlo_theorem1(
     )
 
 
-def _random_design(n, sizes, correlation, rng) -> GroupedDesign:
-    """An orthonormalized equicorrelated Gaussian design with the given group sizes."""
-    sizes = np.asarray(sizes, dtype=int)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    X = equicorrelated_columns(n, int(sizes.sum()), correlation, rng)
-    return build_design(X, np.zeros(n), labels, orthonormalize=True)
-
-
 def random_problem(
     n: int,
     group_sizes,
@@ -505,44 +497,39 @@ def random_problem(
     correlation: float = 0.0,
     seed: int = 0,
 ) -> OracleProblem:
-    """A seeded Gaussian-design problem with every support coordinate equal.
+    """A seeded equicorrelated Gaussian-design problem with every support coordinate equal.
 
     Groups are orthonormalized, so each support group's size-adjusted norm
     is exactly ``beta_star`` on the fitting scale.
     """
-    design = _random_design(n, group_sizes, correlation, np.random.default_rng(seed))
+    sizes = np.asarray(group_sizes, dtype=int)
+    X = equicorrelated_columns(n, int(sizes.sum()), correlation, np.random.default_rng(seed))
+    design = build_design(X, np.zeros(n), np.repeat(np.arange(len(sizes)), sizes),
+                          orthonormalize=True)
     coef = np.zeros(design.p)
     for j in support:
         coef[design.group_slice(j)] = beta_star
     return make_oracle_problem(design, coef, sigma)
 
 
-def _qr_project(X, cols, v):
-    if cols.size == 0:
-        return np.zeros_like(v)
-    q, _ = np.linalg.qr(X[:, cols])
-    return q @ (q.T @ v)
-
-
 # The experiments of ``run_experiment`` take their parameters as keywords:
 # a config value is converted to the annotated type, the default fills in.
 
 
-def _check_groups(sizes, n=None, **members):
+def _check_groups(sizes, n, support):
     if not sizes or min(sizes) < 1:
         raise ConfigError(f"group_sizes must be a nonempty list of positive sizes, got {sizes}")
-    for key, js in members.items():
-        if len(set(js)) < len(js) or not all(0 <= j < len(sizes) for j in js):
-            raise ConfigError(f"{key} must list distinct group indices below {len(sizes)}, "
-                              f"got {js}")
+    if len(set(support)) < len(support) or not all(0 <= j < len(sizes) for j in support):
+        raise ConfigError(f"support must list distinct group indices below {len(sizes)}, "
+                          f"got {support}")
     # centering leaves rank n - 1 for every group and for the support together
-    dim = max(max(sizes), sum(sizes[j] for j in members.get("support", ())))
-    if n is not None and dim > n - 1:
+    dim = max(max(sizes), sum(sizes[j] for j in support))
+    if dim > n - 1:
         raise ConfigError(f"n = {n} leaves rank {n - 1} after centering, below the "
                           f"{dim} columns of the largest group or of the support")
 
 
-def _verdict(ok, violated=False) -> dict:
+def _verdict(ok, violated) -> dict:
     """The ``status`` and ``pass`` entries; a violated hypothesis is neither."""
     if violated:
         return {"status": "CONDITION_VIOLATED", "pass": None}
@@ -577,62 +564,9 @@ def _theorem1(seed: int = 0, n: int = 200, group_sizes: list[int] = (2,) * 10,
     return {**fields, **_verdict(report.bound_holds, report.condition_violated)}
 
 
-def _src(seed: int = 0, n: int = 30, group_sizes: list[int] = (2, 2, 2, 2),
-         d_star: int = None, correlation: float = 0.0) -> dict:
-    _check_groups(group_sizes)
-    design = _random_design(n, group_sizes, correlation, np.random.default_rng(seed))
-    if d_star is None:
-        d_star = design.p
-    c_star, c_sup = src_spectrum(design.X, design.groups, d_star)
-    # independent route: singular values per enumerated subset
-    lo, hi = math.inf, -math.inf
-    for subset in _group_subsets(design.groups, max_dim=d_star):
-        cols = _subset_cols(design.groups, subset)
-        sv = np.linalg.svd(design.X[:, cols] / math.sqrt(n), compute_uv=False)
-        lo, hi = min(lo, float(sv[-1] ** 2)), max(hi, float(sv[0] ** 2))
-    err = max(abs(c_star - lo), abs(c_sup - hi))
-    return {"c_star": c_star, "c_sup": c_sup, "cross_check_error": err,
-            **_verdict(err <= 1e-10 and c_star > 0)}
-
-
-def _irrepresentable(seed: int = 0, n: int = 50, group_sizes: list[int] = (2,) * 5,
-                     support: list[int] = (0, 1), gamma: float = 3.0,
-                     problems: int = 100) -> dict:
-    _check_groups(group_sizes, n, support=support)
-    worst = 0.0
-    for i in range(problems):
-        prob = random_problem(n, group_sizes, support, beta_star=2.0, sigma=1.0, seed=seed + i)
-        lam = 0.9 * prob.beta_star / gamma  # keeps beta_star > gamma*lam
-        design = prob.design
-        worst = max(worst, irrepresentable_lhs(design.X, design.groups, prob.support,
-                                               prob.true_coef, lam, gamma))
-    return {"problems": problems, "worst_lhs": worst, **_verdict(worst <= 1e-12)}
-
-
-def _zeta(seed: int = 0, n: int = 30, group_sizes: list[int] = (2, 2, 2, 2), m: int = 2,
-          base: list[int] = (0,)) -> dict:
-    _check_groups(group_sizes, base=base)
-    base = tuple(base)
-    rng = np.random.default_rng(seed)
-    design = _random_design(n, group_sizes, 0.0, rng)
-    v = rng.standard_normal(n)
-    value = zeta_norm(v, m, base, design.X, design.groups)
-    # independent route: QR-based projections over the same subsets
-    pb = _qr_project(design.X, _subset_cols(design.groups, base), v)
-    ref = -math.inf
-    for subset in _group_subsets(design.groups, base=base, extra=m):
-        pa = _qr_project(design.X, _subset_cols(design.groups, subset), v)
-        ref = max(ref, float(np.linalg.norm(pa - pb)) / math.sqrt(m * n))
-    err = abs(value - ref)
-    return {"value": value, "cross_check_error": err, **_verdict(err <= 1e-10)}
-
-
 EXPERIMENTS = {
     "tail-bound": _tail_bound,
     "theorem1": _theorem1,
-    "src": _src,
-    "irrepresentable": _irrepresentable,
-    "zeta": _zeta,
 }
 
 
@@ -662,13 +596,11 @@ def _number(value, kind):
     return kind(value)
 
 
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 # The range of each numeric parameter (of every item, for a list).
 _RANGES = {
     "seed": (lambda v: v >= 0, "nonnegative"),
     "n": (lambda v: v >= 2, "at least 2"),
-    **dict.fromkeys(("reps", "draws", "problems", "n_starts", "d_star", "m", "k_values"),
-                    _AT_LEAST_1),
+    **dict.fromkeys(("reps", "draws", "n_starts", "k_values"), (lambda v: v >= 1, "at least 1")),
     "t_values": (lambda v: v > 1, "above 1"),
     "sigma": (lambda v: 0 < v < math.inf, "positive and finite"),
     "lam": (lambda v: 0 <= v < math.inf, "finite and nonnegative"),
@@ -690,11 +622,11 @@ def _check_range(name, key, value):
 def run_experiment(config: dict) -> dict:
     """Run a named theory experiment and return a structured report.
 
-    Known experiments are the keys of ``EXPERIMENTS``: ``tail-bound``,
-    ``theorem1``, ``src``, ``irrepresentable``, ``zeta``.  An unknown name,
-    an unknown parameter, a value of the wrong type or a value outside the
-    parameter's range (``_RANGES``) raises ``ConfigError`` before anything
-    runs.  Reports carry one PASS/FAIL entry per checked invariant plus all
+    Known experiments are the keys of ``EXPERIMENTS``: ``tail-bound`` and
+    ``theorem1``, the two that test a bound against simulated data.  An
+    unknown name, an unknown parameter, a value of the wrong type or a value
+    outside the parameter's range (``_RANGES``) raises ``ConfigError``
+    before anything runs.  Reports carry one PASS/FAIL entry per checked invariant plus all
     numeric values; condition violations in ``theorem1`` are reported as
     such rather than failed.
     """

@@ -194,13 +194,16 @@ def test_verify_theory_condition_violated_is_not_failure(tmp_path, capsys):
     assert "CONDITION_VIOLATED" in capsys.readouterr().out
 
 
-def test_verify_theory_irrepresentable_reports_zero(tmp_path):
+@pytest.mark.parametrize("name", ["src", "zeta", "irrepresentable"])
+def test_verify_theory_refuses_the_cross_check_experiments(tmp_path, capsys, name):
+    # src_spectrum, zeta_norm and irrepresentable_lhs are library functions
+    # (acceptance criteria 10 and 12), not experiments that test a bound
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "irrepresentable",
-                               "params": {"problems": 5, "seed": 0}}))
-    out = str(tmp_path / "rep.json")
-    assert main(["verify-theory", "--config", str(cfg), "--out", out]) == 0
-    assert json.load(open(out))["worst_lhs"] <= 1e-12
+    cfg.write_text(json.dumps({"experiment": name}))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown experiment {name!r}\n"
+    assert not out.exists()
 
 
 def test_bad_config_and_bad_csv_exit_2(tmp_path, capsys):
@@ -628,7 +631,8 @@ def test_path_reports_nonconverged_fits_on_stderr(tmp_path, fig3_files, capsys):
     assert main([*args, "--out", str(tmp_path / "ok")]) == 0
     converged = capsys.readouterr()
     assert converged.err == ""
-    assert main([*args, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 0
+    # the files are written, and the status says that a fit did not converge
+    assert main([*args, "--max-iter", "1", "--out", str(tmp_path / "cut")]) == 4
     cut = capsys.readouterr()
     assert cut.out == converged.out.replace("ok", "cut")
     k, total = cut.err.split(" fits did not converge")[0].split(" of ")
@@ -638,11 +642,41 @@ def test_path_reports_nonconverged_fits_on_stderr(tmp_path, fig3_files, capsys):
 def test_cv_counts_nonconverged_fits(tmp_path, fig3_files, capsys):
     out = str(tmp_path / "cv")
     assert main(["cv", *data_args(fig3_files), "--penalty", "glasso", "--nlambda", "5",
-                 "--folds", "3", "--max-iter", "1", "--out", out]) == 0
+                 "--folds", "3", "--max-iter", "1", "--out", out]) == 4
     report = json.load(open(out + "_cv.json"))
     assert 0 < report["n_nonconverged"] <= 5 * 4
     err = capsys.readouterr().err
     assert err == f"{report['n_nonconverged']} of 20 fits did not converge\n"
+
+
+def test_fit_that_did_not_converge_exits_4(tmp_path, fig3_files, capsys):
+    out = str(tmp_path / "f")
+    assert main(["fit", *data_args(fig3_files), "--penalty", "gmcp", "--lambda", "0.01",
+                 "--max-iter", "1", "--out", out]) == 4
+    assert json.load(open(out + "_fit.json"))["converged"] is False
+    assert os.path.exists(out + "_coef.csv")
+    assert capsys.readouterr().err == "1 of 1 fits did not converge\n"
+
+
+def test_verify_theory_passing_report_with_nonconverged_replicates_exits_4(
+    tmp_path, capsys, monkeypatch
+):
+    from grpsel import gcd, theory
+
+    def unconverged(*args, **kwargs):  # the fits as they are, each flagged as not converged
+        B, iterations, converged = gcd.fit_gcd_columns(*args, **kwargs)
+        return B, iterations, np.zeros_like(converged)
+
+    monkeypatch.setattr(theory, "fit_gcd_columns", unconverged)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1",
+                               "params": {"n": 60, "group_sizes": [2] * 4,
+                                          "reps": 8, "seed": 3}}))
+    out = tmp_path / "report.json"
+    assert main(["verify-theory", "--config", str(cfg), "--out", str(out)]) == 4
+    report = json.load(open(out))
+    assert (report["status"], report["n_nonconverged"]) == ("PASS", 8)
+    assert capsys.readouterr().err == "8 of 8 fits did not converge\n"
 
 
 def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypatch):
@@ -657,7 +691,8 @@ def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypa
     out = tmp_path / "report.json"
     code = main(["verify-theory", "--config", str(cfg), "--out", str(out)])
     report = json.load(open(out))
-    # one cycle per fit leaves replicates off the oracle fit: the check fails
+    # one cycle per fit leaves replicates off the oracle fit: the check
+    # fails, and a FAIL exits 3 whether or not every fit converged
     assert (code, report["status"]) == (3, "FAIL")
     assert 0 < report["n_nonconverged"] <= 8
     assert capsys.readouterr().err == f"{report['n_nonconverged']} of 8 fits did not converge\n"
@@ -669,20 +704,18 @@ def test_verify_theory_counts_nonconverged_replicates(tmp_path, capsys, monkeypa
     {"experiment": "theorem1", "params": {"reps": "abc"}},
     {"experiment": "theorem1", "params": {"support": [12]}},
     {"experiment": "theorem1", "params": {"support": [-1]}},
-    {"experiment": "irrepresentable", "params": {"support": [1, 1]}},
-    {"experiment": "src", "params": {"group_sizes": [2, 0]}},
-    {"experiment": "zeta", "params": {"base": [4]}},
+    {"experiment": "theorem1", "params": {"support": [1, 1]}},
+    {"experiment": "theorem1", "params": {"group_sizes": [2, 0]}},
     {"experiment": "tail-bound", "params": {"k_values": [1, "two"]}},
     3,
     {"experiment": "theorem1", "params": {"n": 2}},
     {"experiment": "theorem1", "params": {"n": 3}},
-    {"experiment": "irrepresentable", "params": {"n": 3}},
-    {"experiment": "irrepresentable", "params": {"n": 5, "group_sizes": [2, 2, 5]}},
+    {"experiment": "theorem1", "params": {"n": 5, "group_sizes": [2, 2, 5]}},
 ], ids=["sizes_not_a_list", "params_not_an_object", "reps_not_an_integer",
         "support_out_of_range", "support_negative", "support_repeated",
-        "empty_group", "base_out_of_range", "k_not_an_integer", "config_not_an_object",
+        "empty_group", "k_not_an_integer", "config_not_an_object",
         "theorem1_n_below_group", "theorem1_n_below_support",
-        "irrepresentable_n_below_support", "irrepresentable_n_below_group"])
+        "theorem1_n_below_largest_group"])
 def test_malformed_theory_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -720,9 +753,6 @@ def test_theorem1_unknown_key_raises_before_any_replicate(tmp_path, capsys, monk
     ("theorem1", {"beta_star": -1.0}),
     ("theorem1", {"n_starts": 0}),
     ("theorem1", {"seed": -1}),
-    ("src", {"d_star": 0}),
-    ("irrepresentable", {"problems": 0}),
-    ("zeta", {"m": 0}),
     # integer parameters are never truncated, and a boolean is no integer
     ("theorem1", {"reps": 2.5}),
     ("theorem1", {"seed": 1.5}),
@@ -731,7 +761,7 @@ def test_theorem1_unknown_key_raises_before_any_replicate(tmp_path, capsys, monk
     ("theorem1", {"group_sizes": [2.5, 2]}),
 ], ids=["draws_0", "t_at_1", "k_0", "reps_0", "n_1", "sigma_0", "lam_negative",
         "gamma_1", "correlation_1", "beta_star_negative", "n_starts_0", "seed_negative",
-        "d_star_0", "problems_0", "m_0", "reps_fraction", "seed_fraction", "n_fraction",
+        "reps_fraction", "seed_fraction", "n_fraction",
         "reps_bool", "sizes_fraction"])
 def test_out_of_range_theory_parameter_exits_2(tmp_path, capsys, experiment, params):
     cfg = tmp_path / "cfg.json"
@@ -853,6 +883,50 @@ def test_sgl_level_flags_are_read_or_refused_before_reading(tmp_path, fig3_files
     code = main([command, *data_args(fig3_files), *flags, "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("o*")) == []
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("path", ["--nlambda", "5"]),
+    ("cv", ["--nlambda", "5", "--folds", "3"]),
+])
+def test_sgl_ratio_overflowing_at_the_grid_top_exits_2_before_any_fit(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    from grpsel import bilevel
+
+    prefix = str(tmp_path / "d")
+    assert main(["simulate", "--scenario", "figure1", "--n", "60", "--seed", "1",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bilevel, "fit_sparse_group_lasso", lambda *a, **k: pytest.fail("fit"))
+    code = main([command, *data_args(prefix), "--penalty", "sgl", "--lambda2-ratio", "1e308",
+                 *flags, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the grid top: sgl lam2 must be finite and nonnegative, "
+                          "not inf (lam2_ratio 1e+308 * lam ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_fit_at_a_grid_top_that_is_not_finite_exits_2_before_any_fit(tmp_path, capsys,
+                                                                       monkeypatch):
+    from grpsel import bilevel
+
+    # X'y/n overflows: the sgl top, and the group level tied to it, are inf
+    (tmp_path / "X.csv").write_text("a,b\n1,0.5\n-1,0.2\n1,-0.3\n-1,0.1\n")
+    (tmp_path / "y.csv").write_text("y\n1e308\n-1e308\n1e308\n-1e308\n")
+    (tmp_path / "g.csv").write_text("column_name,group_id\na,1\nb,2\n")
+    monkeypatch.setattr(bilevel, "fit_sparse_group_lasso", lambda *a, **k: pytest.fail("fit"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of X'y
+        code = main(["fit", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+                     "--groups", str(tmp_path / "g.csv"), "--penalty", "sgl",
+                     "--lambda", "max", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the grid top: sgl lam must be finite and nonnegative, not inf\n")
     assert list(tmp_path.glob("o*")) == []
 
 
