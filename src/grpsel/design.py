@@ -144,26 +144,23 @@ class GroupedDesign:
         """Per-group 2-norms of an internal-order vector of length p."""
         return np.sqrt(self.group_sums(v * v))
 
-    def _blocks(self):
+    @cached_property
+    def _blocks(self) -> tuple:
         """The block-diagonal factors U and U^{-1} as flat row-major entries.
 
         Entry e of the concatenated blocks lies in internal column
         ``cols[e]`` and the entries of internal row k start at ``rows[k]``,
         so a block-diagonal matrix-vector product is one gather and one
-        ``np.add.reduceat``.  Computed once per factor tuple.
+        ``np.add.reduceat``.  A ``with_response`` design shares this tuple.
         """
-        key, blocks = self.__dict__.get("_block_cache", (None, None))
-        if key is not self.U:
-            dims = self.dims
-            per_row = np.repeat(dims, dims)
-            rows = np.concatenate(([0], np.cumsum(per_row)[:-1]))
-            offset = np.arange(per_row.sum()) - np.repeat(rows, per_row)
-            cols = np.repeat(self.starts, dims * dims) + offset
-            fwd = np.concatenate([U.ravel() for U in self.U])
-            inv = np.concatenate([np.linalg.inv(U).ravel() for U in self.U])
-            blocks = (cols, rows, fwd, inv)
-            self.__dict__["_block_cache"] = (self.U, blocks)
-        return blocks
+        dims = self.dims
+        per_row = np.repeat(dims, dims)
+        rows = np.concatenate(([0], np.cumsum(per_row)[:-1]))
+        offset = np.arange(per_row.sum()) - np.repeat(rows, per_row)
+        cols = np.repeat(self.starts, dims * dims) + offset
+        fwd = np.concatenate([U.ravel() for U in self.U])
+        inv = np.concatenate([np.linalg.inv(U).ravel() for U in self.U])
+        return cols, rows, fwd, inv
 
     def transform(self, beta: np.ndarray) -> np.ndarray:
         """Map caller-coordinate coefficients to internal solver coordinates."""
@@ -172,7 +169,7 @@ class GroupedDesign:
             raise DimensionMismatch(
                 f"expected coefficient vector of length {self.p}, got {beta.shape}"
             )
-        cols, rows, fwd, _ = self._blocks()
+        cols, rows, fwd, _ = self._blocks
         return np.add.reduceat(fwd * beta[self.order][cols], rows)
 
     def back_transform(self, coef: np.ndarray) -> np.ndarray:
@@ -184,7 +181,7 @@ class GroupedDesign:
             )
         if not np.isfinite(coef).all():
             raise NonFiniteInput("coefficients contain NaN or infinite entries")
-        cols, rows, _, inv = self._blocks()
+        cols, rows, _, inv = self._blocks
         beta = np.empty_like(coef)
         # adding 0.0 turns the -0.0 a zero block can produce into 0.0
         beta[self.order] = np.add.reduceat(inv * coef[cols], rows) + 0.0
@@ -204,7 +201,7 @@ class GroupedDesign:
             raise NonFiniteInput("response contains NaN or infinite entries")
         new = replace(self, y=y_new, y_raw=y_new, y_mean=0.0)
         # same factor tuple and same X: the block form and the Gram rows are shared
-        new.__dict__["_block_cache"] = (self.U, self._blocks())
+        new.__dict__["_blocks"] = self._blocks
         new.__dict__["gram_rows"] = self.gram_rows
         return new
 
@@ -240,7 +237,7 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
         If a group Gram matrix is not numerically positive definite
         (more columns than rows, or collinear columns within the group).
     NonFiniteInput
-        If X or y holds a NaN or infinite entry.
+        If X or y holds a NaN or infinite entry, or ``X'y/n`` overflows.
     DomainError
         If a group weight is not finite and positive (an explicit entry,
         or ``d_j**g`` for a non-finite or overflowing exponent).
@@ -312,6 +309,9 @@ def build_design(X, y, group_labels, weights="sqrt", orthonormalize=True):
             U = np.diag(scale)
             Xt[:, start:start + size] = block / scale
         factors.append(U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(Xt.T @ yc / n).all():  # every grid top starts from X'y/n
+            raise NonFiniteInput("X'y/n overflows: the response is too large")
 
     J = len(groups)
     dims = sizes.astype(float)

@@ -5,10 +5,10 @@ one-group (or one-coordinate) surrogate and keeps one running vector, the
 loss gradient ``c = X'(y - Xb)/n``.  That loop is written once, in
 ``_descend``: starting values, the running gradient and its periodic
 refresh (``GroupedDesign.gradient``), the stop rule (``_stop``), the
-per-update descent check and the ``FitResult``; each solver first calls
-``check_entry``.  A fit's objective, stationarity residual and
-gradient drift come from ``penalties.objective`` and
-``penalties.stationarity`` for every family, computed together on the
+per-update descent check and the ``FitResult``, which nothing else
+builds; each solver first calls ``check_entry``.  A fit's objective,
+stationarity residual and gradient drift come from ``penalties.objective``
+and ``penalties.stationarity`` for every family, computed together on the
 first read of any of them: paths and cross-validation never read them, so
 they cost nothing there.  Each family supplies only one sweep: ``fit_gcd``
 here, ``fit_lcd`` and ``fit_sparse_group_lasso`` in ``bilevel``.
@@ -68,6 +68,7 @@ its fits take about 8 cycles, too few for the window to pay off.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,59 +84,47 @@ ANDERSON_K = 5
 
 
 class FitResult:
-    """A converged (or best-effort) fit at one penalty setting.
+    """A converged (or best-effort) fit at one penalty setting, built by ``_descend``.
 
     ``beta`` is reported in the caller's coordinates and column order;
     ``coef`` is the same solution in the design's internal (transformed)
     coordinates, which is what warm starts and the objective use.  ``coef``
-    is a read-only view, so the values below cannot drift from it.  The
+    is a read-only view, so the scores below cannot drift from it.  The
     penalty point is the solver's ``PenaltySpec`` or ``SolutionPath.grid``.
     ``residual_drift`` is the largest entry of the difference between the
-    solver's running gradient at the end and the loss gradient ``X'r/n``
-    recomputed from ``coef``.
+    solver's running gradient ``c`` at the end and the loss gradient
+    ``X'r/n`` recomputed from ``coef``.
 
-    ``objective``, ``kkt_max_violation`` and ``residual_drift`` are given,
-    or, for a fit from ``_descend``, computed on the first read of any of
-    the three, all at once from one residual ``r = y - X coef`` and one
-    gradient ``g = X'r/n``.  Until then the fit keeps its design, penalty
-    and final running gradient; pickling computes the values and drops them.
+    ``objective``, ``kkt_max_violation`` and ``residual_drift`` are computed
+    on the first read of any of the three, all at once from one residual
+    ``r = y - X coef`` and one gradient ``g = X'r/n``; the fit then drops
+    its design, penalty and ``c``.
     """
 
-    def __init__(self, beta, coef, objective, iterations, converged, kkt_max_violation,
-                 max_descent_violation=None, residual_drift=0.0):
-        self.beta = beta
-        self.coef = np.asarray(coef).view()
+    def __init__(self, design, pen, coef, c, iterations, converged, max_descent_violation):
+        self.beta = design.back_transform(coef)
+        self.coef = coef.view()
         self.coef.flags.writeable = False
         self.iterations = iterations
         self.converged = converged
         self.max_descent_violation = max_descent_violation
-        self._values = (objective, kkt_max_violation, residual_drift)
-        self._pending = None  # (design, pen, c) while the values are not computed
+        self._pending = (design, pen, c)  # until the scores are computed
 
+    @cached_property
     def _scores(self) -> tuple:
-        if self._pending is not None:
-            design, pen, c = self._pending
-            b, X = self.coef, design.X
-            # one residual and one gradient for the drift, the objective and the stationarity
-            r = design.y - X @ b
-            g = X.T @ r / design.n
-            drift = float(np.max(np.abs(c - g))) if design.p else 0.0
-            self._values = (objective(design, b, pen, r), stationarity(design, pen, b, g=g),
-                            drift)
-            self._pending = None
-        return self._values
+        design, pen, c = self._pending
+        b, X = self.coef, design.X
+        # one residual and one gradient for the drift, the objective and the stationarity
+        r = design.y - X @ b
+        g = X.T @ r / design.n
+        drift = float(np.max(np.abs(c - g))) if design.p else 0.0
+        scores = objective(design, b, pen, r), stationarity(design, pen, b, g=g), drift
+        self._pending = None
+        return scores
 
-    objective = property(lambda self: self._scores()[0])
-    kkt_max_violation = property(lambda self: self._scores()[1])
-    residual_drift = property(lambda self: self._scores()[2])
-
-    def __getstate__(self):
-        self._scores()
-        return self.__dict__
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.coef.flags.writeable = False
+    objective = property(lambda self: self._scores[0])
+    kkt_max_violation = property(lambda self: self._scores[1])
+    residual_drift = property(lambda self: self._scores[2])
 
     @property
     def n_nonzero(self) -> int:
@@ -265,7 +254,7 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
     With ``accelerate``, every ``ANDERSON_K + 1`` unconverged cycles end in
     an Anderson attempt (module docstring).  An accepted point refreshes
     ``c`` and is ``note()``d; a singular or non-finite system skips it.
-    The loop's end is the fit's: the ``FitResult`` keeps ``c`` and computes
+    The loop's end builds the ``FitResult``, which keeps ``c`` and computes
     its objective, stationarity and drift only when one is first read.
     """
     b = _start(design, init)
@@ -302,18 +291,9 @@ def _descend(design, pen: PenaltySpec, init, sweep, tol, max_iter, check_descent
         if iterations % 100 == 0:
             c = design.gradient(b)  # guard against floating-point drift in the running gradient
 
-    fit = FitResult(
-        beta=design.back_transform(b),
-        coef=b,
-        objective=None,
-        iterations=iterations,
-        converged=bool(converged),
-        kkt_max_violation=None,
-        # no update noted (every group frozen) means no increase either
-        max_descent_violation=0.0 if max_increase == -math.inf else max_increase,
-    )
-    fit._pending = (design, pen, c)  # objective, stationarity and drift: on first read
-    return fit
+    # no update noted (every group frozen) means no increase either
+    return FitResult(design, pen, b, c, iterations, bool(converged),
+                     0.0 if max_increase == -math.inf else max_increase)
 
 
 def fit_gcd(

@@ -8,6 +8,7 @@ LASSO.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -312,11 +313,20 @@ def kkt_reference(design, pen, coef):
     return worst
 
 
+class ReferenceFit(NamedTuple):
+    """What a reference descent reports, every value computed by the reference itself."""
+
+    coef: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+    kkt_max_violation: float
+    max_descent_violation: float
+
+
 def fit_gcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
                       check_descent=False):
     """Group coordinate descent that updates every group in every cycle."""
-    from grpsel.gcd import FitResult
-
     n, p, J = design.n, design.p, design.J
     X, y = design.X, design.y
     if init is None:
@@ -353,8 +363,7 @@ def fit_gcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
             break
         if it % 100 == 0:
             r = y - X @ b
-    return FitResult(
-        beta=design.back_transform(b),
+    return ReferenceFit(
         coef=b,
         objective=objective_reference(design, b, pen),
         iterations=iterations,
@@ -436,7 +445,6 @@ def lcd_stationarity_reference(design, pen, coef, frozen=None):
 def fit_lcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
                       check_descent=False):
     """Local coordinate descent with its own cycle loop and bridge freezing."""
-    from grpsel.gcd import FitResult
     from grpsel.penalties import objective, soft_threshold
 
     n, p, J = design.n, design.p, design.J
@@ -499,8 +507,7 @@ def fit_lcd_reference(design, pen, init=None, tol=1e-7, max_iter=10_000,
             break
         if it % 100 == 0:
             r = y - X @ b
-    return FitResult(
-        beta=design.back_transform(b),
+    return ReferenceFit(
         coef=b,
         objective=objective_reference(design, b, pen),
         iterations=iterations,
@@ -539,7 +546,6 @@ def sgl_kkt_reference(design, coef, lam1, lam2):
 def fit_sparse_group_lasso_reference(design, lam1, lam2, init=None, tol=1e-7,
                                      max_iter=10_000, check_descent=False):
     """Blockwise proximal descent with its own cycle loop."""
-    from grpsel.gcd import FitResult
     from grpsel.penalties import PenaltySpec, objective, soft_threshold, soft_threshold_vec
 
     pen = PenaltySpec("sgl", lam=lam1, lam2=lam2)
@@ -585,8 +591,7 @@ def fit_sparse_group_lasso_reference(design, lam1, lam2, init=None, tol=1e-7,
             break
         if it % 100 == 0:
             r = y - X @ b
-    return FitResult(
-        beta=design.back_transform(b),
+    return ReferenceFit(
         coef=b,
         objective=objective_reference(design, b, pen),
         iterations=iterations,

@@ -582,6 +582,33 @@ def test_simulate_refuses_a_response_that_overflows_with_exit_2(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def overflow_files(tmp_path_factory):
+    # four rows whose response is finite while X'y/n is not
+    prefix = str(tmp_path_factory.mktemp("overflow") / "big")
+    X = np.random.default_rng(12).standard_normal((4, 4))
+    write_csv(prefix + "_X.csv", ["a", "b", "c", "d"], X.tolist())
+    write_csv(prefix + "_y.csv", ["y"], [[v] for v in (1e308, -1e308, 1e308, -1e308)])
+    write_csv(prefix + "_groups.csv", ["column_name", "group_id"],
+              [["a", 1], ["b", 1], ["c", 2], ["d", 2]])
+    return prefix
+
+
+@pytest.mark.parametrize("command", [["fit", "--lambda", "max"], ["path", "--nlambda", "3"]],
+                         ids=["fit", "path"])
+@pytest.mark.parametrize("penalty", ["glasso", "gmcp", "gscad", "gbridge", "cmcp", "sgl"])
+def test_response_whose_gradient_overflows_exits_2_before_any_grid_top(
+        tmp_path, overflow_files, capsys, command, penalty):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], *data_args(overflow_files), "--penalty", penalty,
+                     *command[1:], "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: X'y/n overflows") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cv_refuses_one_fold_before_the_bridge_grid_top_runs(tmp_path, fig3_files, capsys,
                                                             monkeypatch):
     from grpsel import bilevel
@@ -912,21 +939,21 @@ def test_sgl_ratio_overflowing_at_the_grid_top_exits_2_before_any_fit(
 
 def test_fit_at_a_grid_top_that_is_not_finite_exits_2_before_any_fit(tmp_path, capsys,
                                                                        monkeypatch):
-    from grpsel import bilevel
+    from grpsel import gcd
 
-    # X'y/n overflows: the sgl top, and the group level tied to it, are inf
+    # X'y/n is finite, but the group norms of lambda_max square it to inf
     (tmp_path / "X.csv").write_text("a,b\n1,0.5\n-1,0.2\n1,-0.3\n-1,0.1\n")
-    (tmp_path / "y.csv").write_text("y\n1e308\n-1e308\n1e308\n-1e308\n")
+    (tmp_path / "y.csv").write_text("y\n1e200\n-1e200\n1e200\n-1e200\n")
     (tmp_path / "g.csv").write_text("column_name,group_id\na,1\nb,2\n")
-    monkeypatch.setattr(bilevel, "fit_sparse_group_lasso", lambda *a, **k: pytest.fail("fit"))
+    monkeypatch.setattr(gcd, "fit_gcd", lambda *a, **k: pytest.fail("fit"))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of X'y
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of ||X_j'y||**2
         code = main(["fit", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
-                     "--groups", str(tmp_path / "g.csv"), "--penalty", "sgl",
+                     "--groups", str(tmp_path / "g.csv"), "--penalty", "glasso",
                      "--lambda", "max", "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: the grid top: sgl lam must be finite and nonnegative, not inf\n")
+        "error: the grid top: glasso lam must be finite and nonnegative, not inf\n")
     assert list(tmp_path.glob("o*")) == []
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_back_transform_zero_and_identity():
     assert np.all(design.back_transform(np.zeros(5)) == 0.0)
     b = rng.standard_normal(5)
     identity = [np.eye(3), np.eye(2)]
-    object.__setattr__(design, "U", tuple(identity))
+    design = replace(design, U=tuple(identity))
     np.testing.assert_allclose(design.back_transform(b), b)
 
 
@@ -209,6 +211,16 @@ def test_weights_rules():
             build_design(X, y, labels, weights=("pow", exponent))
 
 
+@pytest.mark.parametrize("orthonormalize", [True, False])
+def test_response_whose_gradient_overflows_is_refused(orthonormalize):
+    # every entry finite, but X'y/n, where every grid top starts, is not
+    X = np.random.default_rng(12).standard_normal((4, 4))
+    y = np.array([1e308, -1e308, 1e308, -1e308])
+    with np.errstate(all="raise"), pytest.raises(NonFiniteInput, match="overflows"):
+        build_design(X, y, [0, 0, 1, 1], orthonormalize=orthonormalize)
+    build_design(X, y * 1e-10, [0, 0, 1, 1], orthonormalize=orthonormalize)
+
+
 def test_singular_and_empty_groups_rejected():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((10, 3))
@@ -284,6 +296,6 @@ def test_with_response_shares_block_factors():
     X, y, labels, _ = gaussian_problem(30, [2, 3], seed=17)
     design = build_design(X, y, labels)
     copy = design.with_response(np.ones(30))
-    assert copy._blocks() is design._blocks()
+    assert copy._blocks is design._blocks
     coef = np.arange(5.0)
     assert np.all(copy.back_transform(coef) == design.back_transform(coef))

@@ -1,14 +1,12 @@
 """A fit's objective, stationarity residual and gradient drift, computed on first read."""
 
 import itertools
-import pickle
 
 import numpy as np
 import pytest
 
 from grpsel import cv, gcd
 from grpsel.cv import kfold_cv
-from grpsel.gcd import FitResult
 from grpsel.paths import PathConfig, solution_path
 from grpsel.penalties import TWO_NORM_FAMILIES, PenaltySpec, objective, stationarity
 
@@ -110,26 +108,17 @@ def test_coef_is_read_only_and_chains_still_warm_start():
     assert again.converged and again.coef.flags.writeable is False
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_pickling_computes_the_values_and_drops_the_design(family):
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("family", ["glasso", "gmcp", "cmcp", "sgl"])
+def test_cross_validation_fits_its_full_path_in_the_caller(family, workers, monkeypatch):
+    # job 0 of cv._forked_map, the full-data path, runs in this process: its
+    # fits were never pickled, so they hold their pending scores unread
+    monkeypatch.setattr(cv, "_cpu_count", lambda: workers)
     design = _design(family)
-    fit = _path(design, family).fits[-1]
-    _, pen, c = fit._pending
-    want = _eager(design, pen, fit, c)
-    data = pickle.dumps(fit)
-    assert b"GroupedDesign" not in data and fit._pending is None
-    back = pickle.loads(data)
-    assert {name: getattr(back, name) for name in SCORES} == want
-    assert back._pending is None and not back.coef.flags.writeable
-    np.testing.assert_array_equal(back.coef, fit.coef)
-    np.testing.assert_array_equal(back.beta, fit.beta)
-    assert (back.iterations, back.converged, back.max_descent_violation) == (
-        fit.iterations, fit.converged, fit.max_descent_violation)
-
-
-def test_given_values_are_kept():
-    fit = FitResult(beta=np.ones(2), coef=np.array([1.0, 0.0]), objective=2.5, iterations=3,
-                    converged=True, kkt_max_violation=1e-9)
-    assert (fit.objective, fit.kkt_max_violation, fit.residual_drift) == (2.5, 1e-9, 0.0)
-    assert fit.max_descent_violation is None and fit.n_nonzero == 2
-    assert pickle.loads(pickle.dumps(fit)).objective == 2.5
+    report = kfold_cv(design, PenaltySpec(family, lam=0.0), CONFIG, K=4, seed=2)
+    for fit in report.path.fits:
+        held, pen, c = fit._pending
+        assert held is design
+        want = _eager(design, pen, fit, c)
+        assert {name: getattr(fit, name) for name in SCORES} == want
+        assert fit._pending is None
